@@ -7,12 +7,12 @@ hot path:
   one raw-key call plus one (value-packed or device) sort, filled straight
   into the kernel's host ``int64`` encoding buffer
   (:meth:`ArrayOps.fill_encodings`);
-* **statistic scoring** — the statistics' ``_compute_batch`` GEMMs and
-  elementwise steps route through the engine's array namespace
-  (:attr:`ArrayOps.xp`) and its buffer/constant adapters, so a device
-  engine runs them on device arrays with ``out=`` fused calls while the
-  numpy engine executes the *literally identical* NumPy calls the
-  reference path always made.
+* **statistic scoring** — the statistics' ``batch_operands`` /
+  ``score_rows`` GEMMs and elementwise steps route through the engine's
+  array namespace (:attr:`ArrayOps.xp`) and its buffer/constant adapters,
+  so a device engine runs them on device arrays with ``out=`` fused calls
+  (the whole matrix as one row block) while the numpy engine executes the
+  *literally identical* NumPy calls the reference path always made.
 
 Bit-identity contract: the raw 64-bit keys are always generated by the
 counter-based Philox stream of :mod:`repro.permute.keystream` (fixed by
@@ -170,6 +170,13 @@ class ArrayOps(ABC):
         identity, the numpy engine returns the array unchanged.
         """
         return arr
+
+    def forget(self, arrays) -> None:
+        """Drop cached mirrors of host arrays changed in place.
+
+        Statistics call this after reordering their operand rows; the
+        numpy engine keeps no mirrors.
+        """
 
     def adopt_encodings(self, enc: np.ndarray) -> Any:
         """The engine-native operand for a host encoding batch."""

@@ -87,6 +87,10 @@ class CupyEngine(ArrayOps):
         self._constants[id(arr)] = (arr, mirrored)
         return mirrored
 
+    def forget(self, arrays) -> None:
+        for arr in arrays:
+            self._constants.pop(id(arr), None)
+
     def adopt_encodings(self, enc: np.ndarray) -> Any:
         return _cupy().asarray(enc)
 

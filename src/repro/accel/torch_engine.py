@@ -187,6 +187,10 @@ class TorchEngine(ArrayOps):
         self._constants[id(arr)] = (arr, mirrored)
         return mirrored
 
+    def forget(self, arrays) -> None:
+        for arr in arrays:
+            self._constants.pop(id(arr), None)
+
     def adopt_encodings(self, enc: np.ndarray) -> Any:
         torch = _torch()
         return torch.as_tensor(np.ascontiguousarray(enc)).to(self.device)

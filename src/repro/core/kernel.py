@@ -11,23 +11,46 @@ paper's parallel algorithm.
 
 Permutations are processed in batches (default 64): the generator emits a
 ``(nb, width)`` encoding block, the statistic scores it with a handful of
-GEMMs, and the successive-maxima/counting step is pure vectorized NumPy.
-Batching is the main optimization over the paper's one-permutation-at-a-time
-C loop and is what lets a NumPy implementation approach compiled speed.
+GEMMs, and side adjustment, successive maxima and counting are vectorized
+NumPy.  Batching is the main optimization over the paper's
+one-permutation-at-a-time C loop and is what lets a NumPy implementation
+approach compiled speed.
+
+Row-tiled loop
+--------------
+
+At kernel scale the batch's cost is memory traffic, not the GEMMs: the
+statistic arithmetic, side adjustment, successive maxima and the two
+counts are about 25 elementwise passes per batch.  Streamed over whole
+``(m, nb)`` matrices they miss cache on every pass.  So each batch is
+walked in **row blocks of the significance-ordered problem**, from the
+bottom block up, each block small enough to stay cache-resident
+(:func:`~repro.stats.base.row_block`: ~32K elements, i.e. 512 rows at
+``nb = 64``).  Per block the kernel
+
+1. scores the block (:meth:`~repro.stats.base.TestStatistic.score_rows`);
+2. side-adjusts it in place and forces untestable rows to ``-inf``;
+3. counts raw exceedances;
+4. takes successive maxima bottom-up (a doubling scan), seeded with the
+   running ``(nb,)`` maximum carried from the block below;
+5. counts adjusted exceedances.
+
+The statistic's per-row operands are permuted into significance order
+once per job (:meth:`~repro.stats.base.TestStatistic.order_rows`; a repeat
+call with the same order is a no-op), so a block is a contiguous row
+range of every operand and no per-batch gather is needed.  Raw counts
+are accumulated in significance order and scattered back once per call.
+Device engines score the whole matrix as one block.
 
 Workspace discipline
 --------------------
 
-At kernel scale the batch loop's cost is dominated by memory traffic, and
-a naively vectorized batch allocates a dozen ``(m, nb)`` float temporaries
-— each one an ``mmap`` + page-fault round trip at typical sizes.  A
-:class:`KernelWorkspace` removes that: it owns a reusable encoding buffer,
-a pooled set of named statistic scratch matrices
-(:class:`~repro.stats.base.WorkBuffers`), and the ordered-scores/flag
-buffers of the counting step, so after the first batch warms the pool the
-loop performs **no floating-point ``(m, nb)`` allocations at all** — every
-GEMM runs with ``out=``, the side adjustment and successive maxima happen
-in place, and the comparisons land in a reused boolean buffer.
+A :class:`KernelWorkspace` owns the encoding buffer and a pooled set of
+named scratch buffers (:class:`~repro.stats.base.WorkBuffers`), all
+block-sized.  After the first batch warms the pool the loop performs no
+floating-point allocations at all: every GEMM runs with ``out=``, side
+adjustment and successive maxima happen in place, and the comparisons
+land in a reused boolean block.
 
 Workspace lifetime rules:
 
@@ -38,18 +61,16 @@ Workspace lifetime rules:
   across whole ``pmaxT`` calls via
   :func:`~repro.mpi.session.resident_cache` — the session/backend layer
   owns its lifetime there);
-* the matrices returned by ``stat.batch(..., work=...)`` and the
-  workspace's views are valid **only until the next batch** touches the
-  pool — the kernel consumes them immediately and so must any other caller;
-* a workspace is single-threaded state: give each rank/thread its own
-  (they are cheap: ~``(m x chunk)`` times a dozen buffers, the same
-  footprint the allocating path paid *per batch*);
+* the pooled buffers are valid **only until the next block** touches the
+  pool — the kernel consumes them immediately;
+* a workspace is single-threaded state: give each rank/thread its own;
 * ``run_kernel(workspace=None)`` builds a private one per call, so casual
   callers get the fast path automatically.
 
-Bit-identity: the pooled loop performs the identical floating-point
-operations in the identical order as the allocating loop, so kernel counts
-with and without a workspace are bit-identical (pinned by the test suite).
+Bit-identity: every element of a block goes through the same
+floating-point operations as the whole-matrix batch, and maxima are
+exact, so the counts do not depend on the block split or the chunking
+(pinned by the test suite against a whole-matrix reference).
 """
 
 from __future__ import annotations
@@ -60,18 +81,21 @@ import numpy as np
 
 from ..errors import PermutationError
 from ..permute.base import PermutationGenerator
-from ..stats.base import TestStatistic, WorkBuffers
-from .adjust import side_adjust, significance_order, successive_maxima
+from ..stats.base import TestStatistic, WorkBuffers, row_block
+from .adjust import side_adjust, significance_order
 
 __all__ = ["KernelCounts", "KernelWorkspace", "ObservedScores",
            "compute_observed", "run_kernel", "DEFAULT_CHUNK",
            "TIE_TOLERANCE", "TIE_TOLERANCE_F32", "tie_tolerance"]
 
-#: Default permutation batch size for the vectorized kernel.  64 keeps the
-#: per-batch working set (~a dozen ``m x 64`` matrices) inside the outer
-#: cache levels on typical hosts; measurements in
-#: ``benchmarks/bench_kernel_hotpath.py`` show larger chunks *lose* time to
-#: cache misses once ``m`` is in the thousands.
+#: Default permutation batch size for the vectorized kernel.  Row blocks
+#: keep the working set cache-resident whatever the batch size (a block
+#: holds about :data:`~repro.stats.base.ROW_BLOCK_ELEMENTS` scores), so
+#: the batch size no longer trades against cache misses; it only sets how
+#: many blocks (Python calls) a permutation costs against the per-batch
+#: work.  On a 2-core host perfbench put 128 within run-to-run noise of
+#: 64 (measured with a 16K-element block: paper_warm and oneshot_bigdata
+#: perms/s +2-4%, one-shot set-up median slower), so 64 stays.
 DEFAULT_CHUNK: int = 64
 
 #: Relative tolerance for the ``permuted >= observed`` counting comparison.
@@ -180,16 +204,13 @@ class KernelWorkspace:
             enc_rows = self.engine_batch
         #: Encoding buffer handed to ``generator.take_batch(out=...)``.
         self.enc = np.empty((enc_rows, self.width), dtype=np.int64)
-        #: Named statistic scratch pool threaded through ``stat.batch``.
+        #: Named statistic scratch pool threaded through the row blocks.
         self.pool = WorkBuffers(engine)
-        #: Host landing buffer for engine-native score batches.  Needed
-        #: whenever the pool's arrays are not plain ndarrays (torch-CPU
-        #: included), since the counting step below is host NumPy.
-        self.host_scores = (
-            np.empty((self.m, self.chunk_size), dtype=self.dtype)
-            if engine is not None and engine.xp is not np else None)
-        self._ordered = np.empty((self.m, self.chunk_size), dtype=self.dtype)
-        self._flags = np.empty((self.m, self.chunk_size), dtype=bool)
+        #: Host scratch for the counting steps: the pool itself on host
+        #: engines; a NumPy pool (with a landing buffer for the device
+        #: scores) when the pool's arrays are not plain ndarrays.
+        self.host = (self.pool if engine is None or engine.xp is np
+                     else WorkBuffers())
 
     @classmethod
     def for_stat(cls, stat: TestStatistic, chunk_size: int = DEFAULT_CHUNK,
@@ -217,17 +238,19 @@ class KernelWorkspace:
         return True
 
     def ordered(self, nb: int) -> np.ndarray:
-        """The ``(m, nb)`` ordered-scores buffer for one batch."""
-        return self._ordered[:, :nb]
+        """A fresh ``(m, nb)`` matrix for whole-matrix staged replays.
 
-    def flags(self, nb: int) -> np.ndarray:
-        """The ``(m, nb)`` boolean comparison buffer for one batch."""
-        return self._flags[:, :nb]
+        The kernel itself holds nothing ``m``-sized; this is allocated per
+        call and not part of :meth:`nbytes`.
+        """
+        return np.empty((self.m, nb), dtype=self.dtype)
 
     def nbytes(self) -> int:
-        """Current footprint (encoding + counting buffers + warm pool)."""
-        return (self.enc.nbytes + self._ordered.nbytes + self._flags.nbytes
-                + self.pool.nbytes())
+        """Current footprint (encoding buffer + warm pools)."""
+        held = self.enc.nbytes + self.pool.nbytes()
+        if self.host is not self.pool:
+            held += self.host.nbytes()
+        return held
 
 
 @dataclass
@@ -267,6 +290,30 @@ def compute_observed(stat: TestStatistic, side: str) -> ObservedScores:
         scores_ordered=scores[order],
         untestable=~np.isfinite(scores),
     )
+
+
+def _suffix_maxima(block: np.ndarray, scratch: np.ndarray) -> None:
+    """Successive maxima of a row block in place: row ``i`` becomes the
+    maximum of rows ``i, i+1, ...``
+    (:func:`~repro.core.adjust.successive_maxima` on a block).
+
+    A doubling scan — after the pass of stride ``k`` each row holds the
+    maximum of the next ``2k`` rows — takes ``log2(rows)`` vectorized
+    passes over contiguous rows, where ``np.maximum.accumulate`` along
+    axis 0 walks each column as one dependent chain (1.6-1.8x slower on
+    a 256-512 row block).  Maxima round nothing, so the values are
+    identical.
+    """
+    n = block.shape[0]
+    src, dst = block, scratch
+    k = 1
+    while k < n:
+        np.maximum(src[:n - k], src[k:], out=dst[:n - k])
+        dst[n - k:] = src[n - k:]
+        src, dst = dst, src
+        k *= 2
+    if src is not block:
+        block[...] = src
 
 
 def run_kernel(
@@ -352,9 +399,9 @@ def run_kernel(
     attach = getattr(generator, "attach_engine", None)
     accelerated = bool(attach(ops)) if attach is not None else False
 
+    pool, host = workspace.pool, workspace.host
     order = observed.order
-    untestable = observed.untestable
-    any_untestable = bool(untestable.any())
+    stat.order_rows(order, pool)
     # Tie-tolerant thresholds (see TIE_TOLERANCE / TIE_TOLERANCE_F32).
     # -inf stays -inf.
     rel = tie_tolerance(stat.compute_dtype)
@@ -364,6 +411,12 @@ def run_kernel(
     threshold = (observed.scores - tol)[:, None]            # original order
     threshold = threshold.astype(stat.compute_dtype, copy=False)
     threshold_ordered = threshold[order]                    # significance order
+    untestable = observed.untestable[order]
+    if not untestable.any():
+        untestable = None
+    raw = np.zeros(m, dtype=np.int64)                       # significance order
+    adjusted = counts.adjusted
+    carry = host.take("carry", (chunk_size,), stat.compute_dtype)
 
     # Engine super-batches: prefill many chunks' encodings with one
     # fill_encodings call (one keystream pass + one batched sort), then
@@ -373,35 +426,52 @@ def run_kernel(
     enc_off = enc_avail = 0
 
     remaining = count
-    while remaining > 0:
-        nb = min(chunk_size, remaining)
-        if superbatch:
-            if enc_avail == 0:
-                fill = min(superbatch, remaining)
-                enc_source = generator.take_batch(fill, out=workspace.enc)
-                enc_off, enc_avail = 0, fill
-            # A super-batch that is not a multiple of chunk_size leaves a
-            # short tail; serve it as a short chunk rather than reading
-            # past the prefetched rows.
-            nb = min(nb, enc_avail)
-            enc = enc_source[enc_off:enc_off + nb]
-            enc_off += nb
-            enc_avail -= nb
-        else:
-            enc = generator.take_batch(nb, out=workspace.enc)
-        perm_stats = stat.batch(enc, work=workspace.pool)   # (m, nb)
-        if workspace.host_scores is not None:
-            perm_stats = ops.to_host(perm_stats,
-                                     out=workspace.host_scores[:, :nb])
-        scores = side_adjust(perm_stats, side, out=perm_stats)
-        if any_untestable:
-            scores[untestable, :] = -np.inf
-        ge = np.greater_equal(scores, threshold, out=workspace.flags(nb))
-        counts.raw += np.count_nonzero(ge, axis=1)
-        u = np.take(scores, order, axis=0, out=workspace.ordered(nb))
-        successive_maxima(u, out=u)
-        np.greater_equal(u, threshold_ordered, out=ge)
-        counts.adjusted += np.count_nonzero(ge, axis=1)
-        counts.nperm += nb
-        remaining -= nb
+    with np.errstate(invalid="ignore", divide="ignore"), \
+            pool.xp.errstate(invalid="ignore", divide="ignore"):
+        while remaining > 0:
+            nb = min(chunk_size, remaining)
+            if superbatch:
+                if enc_avail == 0:
+                    fill = min(superbatch, remaining)
+                    enc_source = generator.take_batch(fill, out=workspace.enc)
+                    enc_off, enc_avail = 0, fill
+                # A super-batch that is not a multiple of chunk_size leaves
+                # a short tail; serve it as a short chunk rather than
+                # reading past the prefetched rows.
+                nb = min(nb, enc_avail)
+                enc = enc_source[enc_off:enc_off + nb]
+                enc_off += nb
+                enc_avail -= nb
+            else:
+                enc = generator.take_batch(nb, out=workspace.enc)
+            operands = stat.batch_operands(pool.adopt_encodings(enc), pool)
+            rows = row_block(m, nb, pool.xp)
+            below = carry[:nb]
+            hi = m
+            while hi > 0:
+                lo = max(0, hi - rows)
+                block = stat.score_rows(operands, lo, hi, pool)
+                if host is not pool:
+                    block = ops.to_host(block, out=host.take(
+                        "scores", (hi - lo, nb), stat.compute_dtype))
+                side_adjust(block, side, out=block)
+                if untestable is not None:
+                    dead = untestable[lo:hi]
+                    if dead.any():
+                        block[dead] = -np.inf
+                thr = threshold_ordered[lo:hi]
+                ge = np.greater_equal(block, thr,
+                                      out=host.take("ge", block.shape, bool))
+                raw[lo:hi] += np.count_nonzero(ge, axis=1)
+                if hi < m:
+                    np.maximum(block[-1], below, out=block[-1])
+                _suffix_maxima(block, host.take("smax", block.shape,
+                                                stat.compute_dtype))
+                np.greater_equal(block, thr, out=ge)
+                adjusted[lo:hi] += np.count_nonzero(ge, axis=1)
+                np.copyto(below, block[0])
+                hi = lo
+            counts.nperm += nb
+            remaining -= nb
+    counts.raw[order] += raw
     return counts

@@ -13,8 +13,10 @@ deterministic, so a rerun is indistinguishable from a first run).
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import time
+import traceback
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -99,6 +101,7 @@ class ServiceJob:
             if self._state == JOB_QUEUED:
                 self._state = JOB_CANCELLED
                 self.finished_at = time.time()
+                self._release_inputs()
                 self._cond.notify_all()
                 return True
             return self._state == JOB_CANCELLED
@@ -142,6 +145,16 @@ class ServiceJob:
             self.attempts += 1
             return True
 
+    def _release_inputs(self) -> None:
+        """Drop the submitted matrix once the job is terminal.
+
+        The manager retains up to 2000 finished jobs for polling; their
+        input matrices (a parsed JSON list of lists for HTTP jobs) would
+        otherwise stay resident with them.  The caller's spec object is
+        left untouched.  Called with ``_cond`` held.
+        """
+        self.spec = dataclasses.replace(self.spec, data=None, labels=None)
+
     def _requeue(self) -> None:
         """Crash-reroute: put a running job back in line for another pool."""
         with self._cond:
@@ -156,13 +169,18 @@ class ServiceJob:
             self.finished_at = time.time()
             if self.started_at is None:
                 self.started_at = self.finished_at
+            self._release_inputs()
             self._cond.notify_all()
 
     def _fail(self, error: BaseException) -> None:
+        # The traceback's frames hold the run's locals, the input matrix
+        # among them; clearing them keeps the traceback printable.
+        traceback.clear_frames(error.__traceback__)
         with self._cond:
             self._error = error
             self._state = JOB_FAILED
             self.finished_at = time.time()
+            self._release_inputs()
             self._cond.notify_all()
 
     # -- serialisation -----------------------------------------------------

@@ -23,14 +23,21 @@ samples, zero variance) produce NaN, which the maxT engine treats as "never
 significant" — matching multtest's NA propagation.
 
 Allocation discipline: at kernel scale the elementwise temporaries — a
-dozen ``(m, nb)`` matrices per batch — cost more than the GEMMs themselves
-(every one is an mmap + page-fault round at typical sizes).  ``batch``
-therefore accepts a :class:`WorkBuffers` pool; when given, every GEMM runs
-with ``out=`` and every elementwise step reuses a named pooled buffer, so
-after the first batch warms the pool the hot loop allocates nothing
-``(m, nb)``-sized.  The arithmetic (operations and their order) is
-identical with and without the pool, so pooled and unpooled runs produce
-bit-identical statistics.
+dozen ``(m, nb)`` matrices per batch — cost more than the GEMMs themselves.
+Evaluation is therefore split in two: :meth:`TestStatistic.batch_operands`
+turns one encoding batch into the GEMM right-hand sides (plus the
+``(1, nb)`` class counts on fully-valid data), and
+:meth:`TestStatistic.score_rows` evaluates one row block ``[lo, hi)``
+against them.  Every GEMM runs with ``out=`` and every elementwise step
+reuses a named :class:`WorkBuffers` buffer of the block's shape, so a
+small row block keeps the whole pipeline cache-resident and the hot loop
+allocates nothing.  A row of the result depends only on that
+row's operands, so the values are the same whatever the block split.
+
+Row order: the kernel walks the problem in significance order, so
+:meth:`TestStatistic.order_rows` permutes the per-row operands in place
+once per job (they are private copies — construction always copies the
+input).  :meth:`TestStatistic.batch` always answers in original row order.
 
 Compute dtype: statistics default to float64; ``dtype="float32"`` is an
 opt-in mode that halves memory traffic and roughly doubles BLAS throughput
@@ -40,6 +47,7 @@ tolerance — see :mod:`repro.core.kernel`).
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from typing import Any
 
@@ -49,10 +57,31 @@ from ..errors import DataError, OptionError
 from .na import MT_NA_NUM, row_ranks, to_nan, valid_mask
 
 __all__ = ["TestStatistic", "TwoSampleMoments", "WorkBuffers",
-           "COMPUTE_DTYPES", "class_member_counts"]
+           "COMPUTE_DTYPES", "ROW_BLOCK_ELEMENTS", "class_member_counts",
+           "gemm_operand", "row_block", "two_class_counts",
+           "two_class_operands"]
 
 #: The supported compute dtypes for the statistic kernels.
 COMPUTE_DTYPES: tuple[str, ...] = ("float64", "float32")
+
+#: Element budget of one row block (``rows * nb``).  Each of the dozen
+#: buffers a statistic touches is then 256 KiB in float64.  Measured on a
+#: 2-core host (2 MiB L2 per core, 105 MiB L3, two ranks running): 32K
+#: beat 16K by ~10% on 6102x76 and matched it on 36612x76 — fewer Python
+#: calls per batch outweigh the spill from L2 into L3 — and 48K gained
+#: nothing more.
+ROW_BLOCK_ELEMENTS: int = 32768
+
+
+def row_block(m: int, nb: int, xp=np) -> int:
+    """Rows per block for an ``nb``-column batch over ``m`` rows.
+
+    Host NumPy blocks hold about :data:`ROW_BLOCK_ELEMENTS` elements;
+    device namespaces score the whole matrix as one block.
+    """
+    if xp is not np:
+        return m
+    return max(1, min(m, ROW_BLOCK_ELEMENTS // max(nb, 1)))
 
 
 def _default_ops():
@@ -68,8 +97,7 @@ def _default_ops():
 _NUMPY_OPS = None
 
 
-def class_member_counts(V, G, work: "WorkBuffers", key: str,
-                        dtype=None):
+def class_member_counts(V, G, work: "WorkBuffers", key: str, dtype):
     """Per-encoding member counts for a 0/1 class-indicator block ``G``.
 
     With a validity mask ``V`` the counts are the GEMM ``V @ G`` — an
@@ -77,13 +105,9 @@ def class_member_counts(V, G, work: "WorkBuffers", key: str,
     row is all ones, so the counts collapse to the column sums of ``G``,
     one broadcastable ``(1, nb)`` row.  Both forms sum the same exact
     small integers in float, so the shortcut is bit-transparent while
-    removing a whole GEMM from the batch.  ``dtype`` is the compute
-    dtype (defaults to the pool's last-taken float dtype, which matches
-    ``G`` for every in-tree caller).
+    removing a whole GEMM from the batch.  ``dtype`` is the compute dtype.
     """
     xp = work.xp
-    if dtype is None:
-        dtype = work.float_dtype
     if V is None:
         out = work.take(key, (1, G.shape[1]), dtype)
         xp.sum(G, axis=0, dtype=dtype, out=out[0])
@@ -92,14 +116,56 @@ def class_member_counts(V, G, work: "WorkBuffers", key: str,
                                          dtype))
 
 
+def gemm_operand(encodings, work: "WorkBuffers", dtype):
+    """The float ``(width, nb)`` right-hand side for the batch GEMMs."""
+    G = work.take("G", (encodings.shape[1], encodings.shape[0]), dtype)
+    work.xp.copyto(G, encodings.T, casting="unsafe")
+    return G
+
+
+def two_class_operands(encodings, work: "WorkBuffers", dtype,
+                       all_valid: bool):
+    """``(G, N1, N0)`` for a batch of 0/1 label vectors.
+
+    ``G`` is the float ``(n, nb)`` label block.  On fully-valid data the
+    class member counts are the same for every row, so they are formed
+    here once per batch as ``(1, nb)`` rows; otherwise they are ``None``
+    and :func:`two_class_counts` forms them per row block.
+    """
+    dtype = np.dtype(dtype)
+    G = gemm_operand(encodings, work, dtype)
+    if not all_valid:
+        return G, None, None
+    N1 = class_member_counts(None, G, work, "N1", dtype)
+    # Every row's valid count is exactly n, so the (1, nb) subtraction
+    # yields the same values an (m, nb) one would.
+    N0 = work.xp.subtract(dtype.type(encodings.shape[1]), N1,
+                          out=work.take("N0", N1.shape, dtype))
+    return G, N1, N0
+
+
+def two_class_counts(operands, mask, n_valid, lo: int, hi: int,
+                     work: "WorkBuffers", dtype):
+    """Both classes' member counts ``(N1, N0)`` for rows ``[lo, hi)``:
+    the batch's ``(1, nb)`` rows on fully-valid data, else the mask GEMM
+    ``mask @ G`` and ``n_valid - N1`` over the block."""
+    G, N1, N0 = operands
+    if N1 is None:
+        N1 = class_member_counts(work.constant(mask)[lo:hi], G, work, "N1",
+                                 dtype)
+        N0 = work.xp.subtract(work.constant(n_valid)[lo:hi, None], N1,
+                              out=work.take("N0", N1.shape, dtype))
+    return N1, N0
+
+
 class WorkBuffers:
     """A pool of named, lazily grown scratch arrays.
 
-    ``take(key, shape, dtype)`` returns a buffer of exactly ``shape``:
-    the first request allocates it, later requests reuse the allocation
-    (returning a leading-slice view when a smaller shape — e.g. the tail
-    batch of a permutation chunk — is asked for).  Nothing is zeroed:
-    callers own the full contents of what they take.
+    ``take(key, shape, dtype)`` returns a C-contiguous buffer of exactly
+    ``shape``: the first request allocates it, later requests reuse the
+    allocation — a smaller request (the top row block, a tail batch) is a
+    reshaped leading run of the same storage, never a strided slice.
+    Nothing is zeroed: callers own the full contents of what they take.
 
     The pool is bound to a compute engine
     (:class:`~repro.accel.base.ArrayOps`): buffers are engine-native
@@ -114,17 +180,17 @@ class WorkBuffers:
     def __init__(self, ops=None):
         self._bufs: dict[str, Any] = {}
         self._dtypes: dict[str, np.dtype] = {}
+        self._sizes: dict[str, int] = {}
+        #: Shaped views already cut, by ``(key, shape, dtype)``: the hot
+        #: loop asks for the same few shapes on every block.  Capped (see
+        #: :meth:`take`) so a stream of one-off shapes cannot grow it.
+        self._views: dict[tuple, Any] = {}
         self.ops = _default_ops() if ops is None else ops
 
     @property
     def xp(self):
         """The engine's array namespace (NumPy itself for the reference)."""
         return self.ops.xp
-
-    #: Declared dtype of the last float buffer taken; statistics read it
-    #: back where the NumPy path read ``buffer.dtype`` (device tensors
-    #: carry library-specific dtype objects).
-    float_dtype: np.dtype = np.dtype(np.float64)
 
     def constant(self, arr: np.ndarray):
         """The engine-native mirror of a statistic's host constant."""
@@ -135,24 +201,26 @@ class WorkBuffers:
         return self.ops.adopt_encodings(enc)
 
     def take(self, key: str, shape: tuple[int, ...], dtype=np.float64):
-        dtype = np.dtype(dtype)
-        if dtype.kind == "f":
-            self.float_dtype = dtype
-        shape = tuple(int(s) for s in shape)
+        view = self._views.get((key, shape, dtype))
+        if view is not None:
+            return view
+        want = np.dtype(dtype)
+        dims = tuple(int(s) for s in shape)
+        size = math.prod(dims)
         buf = self._bufs.get(key)
-        held = self._dtypes.get(key)
-        if (buf is None or held != dtype or buf.ndim != len(shape)
-                or any(b < s for b, s in zip(buf.shape, shape))):
-            grow = shape
-            if buf is not None and held == dtype \
-                    and buf.ndim == len(shape):
-                grow = tuple(max(b, s) for b, s in zip(buf.shape, shape))
-            buf = self.ops.empty(grow, dtype)
+        if buf is None or self._dtypes[key] != want \
+                or self._sizes[key] < size:
+            buf = self.ops.empty(dims, want)
             self._bufs[key] = buf
-            self._dtypes[key] = dtype
-        if tuple(buf.shape) == shape:
-            return buf
-        return buf[tuple(slice(0, s) for s in shape)]
+            self._dtypes[key] = want
+            self._sizes[key] = size
+            self._views = {k: v for k, v in self._views.items()
+                           if k[0] != key}
+        if tuple(buf.shape) != dims:
+            buf = buf.reshape(-1)[:size].reshape(dims)
+        if len(self._views) < 4096:
+            self._views[(key, shape, dtype)] = buf
+        return buf
 
     def nbytes(self) -> int:
         """Total bytes currently held by the pool."""
@@ -213,6 +281,9 @@ class TestStatistic(ABC):
         self.observed_labels.flags.writeable = False
         self._validate_design(labels)
         self._prepare(X, labels)
+        #: Original row index held at each operand row (``None`` while the
+        #: operands are still in original order); see :meth:`order_rows`.
+        self._row_order: np.ndarray | None = None
 
     #: Set by rank-based statistics so ``nonpara`` does not double-transform.
     _rank_based: bool = False
@@ -233,29 +304,32 @@ class TestStatistic(ABC):
         """Cache the per-dataset arrays the batch kernel needs."""
 
     @abstractmethod
-    def _compute_batch(self, encodings: np.ndarray,
-                       work: WorkBuffers) -> np.ndarray:
-        """Compute the ``(m, nb)`` statistics for validated encodings.
+    def _row_arrays(self) -> tuple[np.ndarray, ...]:
+        """The distinct per-row operands (first axis ``m``) to reorder."""
 
-        Every ``(m, nb)``- or ``(n, nb)``-sized intermediate must route
-        through the ``work`` pool (``out=`` GEMMs, in-place elementwise
-        steps); the returned matrix may itself be a pooled buffer, valid
-        until the next call with the same pool.  There is deliberately no
-        separate allocating implementation: callers without a pool get a
-        fresh throwaway one from :meth:`batch`, so the floating-point
-        operation sequence — and therefore the results, bit for bit — is
-        the same either way.
+    @abstractmethod
+    def batch_operands(self, encodings, work: WorkBuffers) -> Any:
+        """Per-batch operands for :meth:`score_rows` from validated encodings.
+
+        The float GEMM right-hand sides, plus whatever depends on the
+        encodings alone (the ``(1, nb)`` class counts on fully-valid
+        data).  Pooled: valid until the next batch touches ``work``.
+        """
+
+    @abstractmethod
+    def score_rows(self, operands, lo: int, hi: int,
+                   work: WorkBuffers) -> Any:
+        """The ``(hi - lo, nb)`` statistics of operand rows ``[lo, hi)``.
+
+        Rows are in the current operand order (see :meth:`order_rows`).
+        Every intermediate routes through ``work`` (``out=`` GEMMs,
+        in-place elementwise steps); the returned matrix is itself a
+        pooled buffer, valid until the next call with the same pool.
+        Callers run it under ``errstate(invalid="ignore",
+        divide="ignore")``.
         """
 
     # -- shared batch helpers --------------------------------------------------
-
-    def _gemm_operand(self, encodings, work: WorkBuffers):
-        """The ``(width, nb)`` float right-hand side for the batch GEMMs."""
-        xp = work.xp
-        G = work.take("G", (encodings.shape[1], encodings.shape[0]),
-                      self.compute_dtype)
-        xp.copyto(G, encodings.T, casting="unsafe")
-        return G
 
     def _class_indicator(self, encodings, j: int,
                          work: WorkBuffers):
@@ -263,9 +337,42 @@ class TestStatistic(ABC):
         xp = work.xp
         n, nb = encodings.shape[1], encodings.shape[0]
         eq = xp.equal(encodings.T, j, out=work.take("eqT", (n, nb), bool))
-        Gj = work.take("G", (n, nb), self.compute_dtype)
+        Gj = work.take(f"G{j}", (n, nb), self.compute_dtype)
         xp.copyto(Gj, eq, casting="unsafe")
         return Gj
+
+    # -- row order -------------------------------------------------------------
+
+    def order_rows(self, order: np.ndarray,
+                   work: WorkBuffers | None = None) -> bool:
+        """Permute the per-row operands in place so row ``i`` is ``order[i]``.
+
+        ``order`` lists original row indices (the kernel passes the
+        significance ordering).  Each operand is permuted through one
+        transient copy; nothing second stays resident.  A repeat call with
+        the current order is an O(m) no-op.  ``work``'s engine drops any
+        device mirror of the permuted arrays.  Returns whether anything
+        moved.
+        """
+        order = np.asarray(order, dtype=np.intp)
+        current = self._row_order
+        if current is None:
+            if np.array_equal(order, np.arange(self.m)):
+                return False
+            src = order
+        else:
+            if np.array_equal(order, current):
+                return False
+            position = np.empty(self.m, dtype=np.intp)
+            position[current] = np.arange(self.m)
+            src = position[order]
+        arrays = self._row_arrays()
+        for arr in arrays:
+            arr[...] = arr[src]
+        if work is not None:
+            work.ops.forget(arrays)
+        self._row_order = order.copy()
+        return True
 
     # -- public evaluation -----------------------------------------------------
 
@@ -279,16 +386,15 @@ class TestStatistic(ABC):
             treated as a batch of one).
         work:
             Optional :class:`WorkBuffers` pool; when given, the returned
-            matrix is a pooled buffer that stays valid only until the next
-            ``batch`` call with the same pool.
+            matrix may be a pooled buffer that stays valid only until the
+            next ``batch`` call with the same pool.
 
         Returns
         -------
         numpy.ndarray
-            ``(m, nb)`` matrix in the compute dtype; NaN marks undefined
-            statistics.  With a device-engine pool the matrix is
-            engine-native (the kernel copies it back through
-            ``ArrayOps.to_host``).
+            ``(m, nb)`` matrix in the compute dtype, original row order;
+            NaN marks undefined statistics.  A single-block result on a
+            device-engine pool stays engine-native.
         """
         enc = np.asarray(encodings, dtype=np.int64)
         if enc.ndim == 1:
@@ -300,18 +406,38 @@ class TestStatistic(ABC):
         if enc.shape[0] == 0:
             return np.empty((self.m, 0), dtype=self.compute_dtype)
         if work is None:
-            # One implementation, two calling styles: a throwaway pool
-            # makes the pool-less call allocate about what the pre-pool
-            # code did while keeping a single arithmetic path.
             work = WorkBuffers()
         enc = work.adopt_encodings(enc)
+        return self._evaluate(enc, work, row_block(self.m, enc.shape[0],
+                                                   work.xp))
+
+    def _evaluate(self, enc, work: WorkBuffers, rows: int):
+        """Score ``enc`` in blocks of ``rows``; original row order."""
+        m, nb = self.m, enc.shape[0]
+        order = self._row_order
         with work.xp.errstate(invalid="ignore", divide="ignore"):
-            out = self._compute_batch(enc, work)
+            operands = self.batch_operands(enc, work)
+            if rows >= m and order is None:
+                return self.score_rows(operands, 0, m, work)
+            out = np.empty((m, nb), dtype=self.compute_dtype)
+            for lo in range(0, m, rows):
+                hi = min(lo + rows, m)
+                block = work.ops.to_host(self.score_rows(operands, lo, hi,
+                                                         work))
+                out[slice(lo, hi) if order is None else order[lo:hi]] = block
         return out
 
     def observed(self) -> np.ndarray:
-        """Statistic under the observed labelling (length ``m``)."""
-        return self.batch(self.observed_encoding())[:, 0]
+        """Statistic under the observed labelling (length ``m``).
+
+        Scored as one whole-matrix block (a single column is small): a
+        BLAS call can round the rows at a block edge differently in the
+        last bit, and the observed statistics are reported, so they keep
+        the whole-matrix bits whatever ``m`` is.
+        """
+        work = WorkBuffers()
+        enc = work.adopt_encodings(self.observed_encoding()[None, :])
+        return self._evaluate(enc, work, self.m)[:, 0]
 
     def observed_encoding(self) -> np.ndarray:
         """Encoding of the observed labelling (identity permutation)."""
@@ -325,73 +451,57 @@ class TwoSampleMoments:
     """Masked first/second-moment engine shared by the two-sample statistics.
 
     Precomputes the row totals once, then for a batch of 0/1 label vectors
-    returns per-class counts, sums and sums of squares via three GEMMs.
-    Columns whose cell is missing for a given row simply contribute zero to
-    every product, so missingness costs nothing per permutation.
+    returns per-class counts, sums and sums of squares via GEMMs over one
+    row block.  Columns whose cell is missing for a given row simply
+    contribute zero to every product, so missingness costs nothing per
+    permutation.
     """
 
     def __init__(self, X: np.ndarray):
         V = valid_mask(X)
-        Xz = np.where(V, X, X.dtype.type(0))
-        self.V = V.astype(X.dtype)
-        self.Xz = Xz
-        self.Xz2 = Xz * Xz
-        #: With no missing cells every row of ``V`` is all ones, so the
+        self.Xz = np.where(V, X, X.dtype.type(0))
+        self.Xz2 = self.Xz * self.Xz
+        #: With no missing cells every row of the mask is all ones, so the
         #: class-1 count GEMM ``V @ G`` degenerates to the column sums of
-        #: ``G`` — one ``(1, nb)`` row instead of an ``(m, nb)`` GEMM.
-        #: The values are identical (exact small integers in float), so the
-        #: shortcut is bit-transparent; it removes one of the three batch
+        #: ``G`` — one ``(1, nb)`` row per batch instead of an ``(m, nb)``
+        #: GEMM.  The values are identical (exact small integers in float),
+        #: so the shortcut is bit-transparent; it removes one of the three
         #: GEMMs on clean data, the common case.  ``count_mask`` is what
-        #: :func:`class_member_counts` consumes: the mask when it matters,
-        #: ``None`` when the column-sum shortcut applies.
+        #: :func:`class_member_counts` consumes: the float mask when it
+        #: matters, ``None`` when the column-sum shortcut applies.
         self.all_valid = bool(V.all())
-        self.count_mask = None if self.all_valid else self.V
+        Vf = V.astype(X.dtype)
+        self.count_mask = None if self.all_valid else Vf
         # Row totals over all valid cells (class-0 moments follow by
         # subtraction, saving three GEMMs per batch).
-        self.n_valid = self.V.sum(axis=1, dtype=X.dtype)
+        self.n_valid = Vf.sum(axis=1, dtype=X.dtype)
         self.sum_all = self.Xz.sum(axis=1, dtype=X.dtype)
         self.sumsq_all = self.Xz2.sum(axis=1, dtype=X.dtype)
 
-    def class1(self, encodings, work: WorkBuffers):
-        """Counts/sums/sums-of-squares of class 1 for each encoding.
+    def row_arrays(self) -> tuple[np.ndarray, ...]:
+        """The per-row operands (see :meth:`TestStatistic.order_rows`)."""
+        rows = (self.Xz, self.Xz2, self.n_valid, self.sum_all, self.sumsq_all)
+        return rows if self.count_mask is None else rows + (self.count_mask,)
 
-        Returns ``(N1, S1, Q1)`` in pooled buffers: the sums are
-        ``(m, nb)``; the count is ``(m, nb)`` in general but collapses to
-        a broadcastable ``(1, nb)`` row on fully-valid data (see
-        ``all_valid``).
-        """
-        xp = work.xp
-        dtype = self.Xz.dtype
-        nb = encodings.shape[0]
-        m = self.Xz.shape[0]
-        G = work.take("G", (encodings.shape[1], nb), dtype)
-        xp.copyto(G, encodings.T, casting="unsafe")
-        mask = None if self.count_mask is None \
-            else work.constant(self.count_mask)
-        N1 = class_member_counts(mask, G, work, "N1", dtype)
-        S1 = xp.matmul(work.constant(self.Xz), G,
-                       out=work.take("S1", (m, nb), dtype))
-        Q1 = xp.matmul(work.constant(self.Xz2), G,
-                       out=work.take("Q1", (m, nb), dtype))
-        return N1, S1, Q1
+    def split(self, operands, lo: int, hi: int, work: WorkBuffers):
+        """Both classes' moments for rows ``[lo, hi)`` of the batch
+        :func:`two_class_operands` prepared: ``(N1, S1, Q1, N0, S0, Q0)``.
 
-    def split(self, encodings, work: WorkBuffers):
-        """Both classes' moments: ``(N1, S1, Q1, N0, S0, Q0)``.
-
-        ``N0``/``N1`` may be ``(1, nb)`` rows on fully-valid data; they
+        ``N0``/``N1`` are ``(1, nb)`` rows on fully-valid data; they
         broadcast transparently through the statistic arithmetic.
         """
         xp = work.xp
-        N1, S1, Q1 = self.class1(encodings, work)
-        # On fully-valid data every n_valid entry is exactly n, so the
-        # (1, nb) subtraction yields the same values the (m, nb) one would.
-        counts_total = self.Xz.dtype.type(self.Xz.shape[1]) \
-            if self.all_valid else work.constant(self.n_valid)[:, None]
         dtype = self.Xz.dtype
-        N0 = xp.subtract(counts_total, N1,
-                         out=work.take("N0", N1.shape, dtype))
-        S0 = xp.subtract(work.constant(self.sum_all)[:, None], S1,
-                         out=work.take("S0", S1.shape, dtype))
-        Q0 = xp.subtract(work.constant(self.sumsq_all)[:, None], Q1,
-                         out=work.take("Q0", Q1.shape, dtype))
+        G = operands[0]
+        shape = (hi - lo, G.shape[1])
+        N1, N0 = two_class_counts(operands, self.count_mask, self.n_valid,
+                                  lo, hi, work, dtype)
+        S1 = xp.matmul(work.constant(self.Xz)[lo:hi], G,
+                       out=work.take("S1", shape, dtype))
+        Q1 = xp.matmul(work.constant(self.Xz2)[lo:hi], G,
+                       out=work.take("Q1", shape, dtype))
+        S0 = xp.subtract(work.constant(self.sum_all)[lo:hi, None], S1,
+                         out=work.take("S0", shape, dtype))
+        Q0 = xp.subtract(work.constant(self.sumsq_all)[lo:hi, None], Q1,
+                         out=work.take("Q0", shape, dtype))
         return N1, S1, Q1, N0, S0, Q0

@@ -64,57 +64,62 @@ class BlockF(TestStatistic):
         block_ok = ~np.isnan(cells).any(axis=2)  # (m, nblocks)
         # Expand block validity back to columns for the GEMM mask.
         col_ok = np.repeat(block_ok, self.k, axis=1)  # (m, n)
-        self._V = col_ok.astype(X.dtype)
         self._Xz = np.where(col_ok, np.nan_to_num(X, nan=0.0),
                             X.dtype.type(0))
-        self._bv = block_ok.sum(axis=1).astype(X.dtype)  # valid blocks/row
+        bv = block_ok.sum(axis=1).astype(X.dtype)  # valid blocks/row
 
-        # Permutation-invariant pieces.
-        nv = self._bv * self.k  # valid cells per row
+        # Permutation-invariant per-row terms, formed once.
+        nv = bv * self.k  # valid cells per row
         grand = self._Xz.sum(axis=1)
         sumsq = (self._Xz * self._Xz).sum(axis=1)
         with np.errstate(invalid="ignore", divide="ignore"):
-            self._ss_total = sumsq - grand * grand / nv
+            ss_total = sumsq - grand * grand / nv
             block_sums = (self._Xz.reshape(self.m, self.nblocks, self.k)).sum(axis=2)
-            self._ss_block = (
+            ss_block = (
                 (block_sums * block_sums).sum(axis=1) / self.k - grand * grand / nv
             )
-        self._grand = grand
-        self._nv = nv
+            self._gg = grand * grand / nv
+            self._resid_base = ss_total - ss_block
+        self._bv = bv
+        self._dof_r = (bv - 1.0) * (self.k - 1.0)
+        self._few = bv < 2
 
-    def _compute_batch(self, encodings, work) -> np.ndarray:
+    def _row_arrays(self):
+        return (self._Xz, self._bv, self._gg, self._resid_base, self._dof_r,
+                self._few)
+
+    def batch_operands(self, encodings, work):
+        """The per-treatment indicator blocks."""
+        return [self._class_indicator(encodings, j, work)
+                for j in range(self.k)]
+
+    def score_rows(self, operands, lo, hi, work) -> np.ndarray:
         xp = work.xp
-        m = self.m
-        nb = encodings.shape[0]
+        shape = (hi - lo, operands[0].shape[1])
         dt = self._Xz.dtype
-        bv = work.constant(self._bv)[:, None]
-        Xz = work.constant(self._Xz)
-        treat_raw = work.take("treat", (m, nb), dt)
+        bv = work.constant(self._bv)[lo:hi, None]
+        Xz = work.constant(self._Xz)[lo:hi]
+        treat_raw = work.take("treat", shape, dt)
         treat_raw[...] = 0
-        for j in range(self.k):
-            Gj = self._class_indicator(encodings, j, work)
+        for Gj in operands:
             # treatment-j sum per row per permutation
-            Sj = xp.matmul(Xz, Gj, out=work.take("Sj", (m, nb), dt))
+            Sj = xp.matmul(Xz, Gj, out=work.take("Sj", shape, dt))
             xp.multiply(Sj, Sj, out=Sj)
             treat_raw += Sj
-        grand = work.constant(self._grand)[:, None]
-        nv = work.constant(self._nv)[:, None]
-        gg = grand * grand / nv                    # (m, 1): batch-invariant
         xp.divide(treat_raw, bv, out=treat_raw)
-        ss_treat = xp.subtract(treat_raw, gg, out=treat_raw)
+        ss_treat = xp.subtract(treat_raw, work.constant(self._gg)[lo:hi, None],
+                               out=treat_raw)
         xp.maximum(ss_treat, 0.0, out=ss_treat)
-        resid_base = work.constant(self._ss_total)[:, None] \
-            - work.constant(self._ss_block)[:, None]
-        ss_resid = xp.subtract(resid_base, ss_treat,
-                               out=work.take("resid", (m, nb), dt))
+        ss_resid = xp.subtract(work.constant(self._resid_base)[lo:hi, None],
+                               ss_treat, out=work.take("resid", shape, dt))
         xp.maximum(ss_resid, 0.0, out=ss_resid)
         dof_t = self.k - 1.0
-        dof_r = (bv - 1.0) * (self.k - 1.0)
         # Capture the degenerate mask before ss_resid is divided in place.
-        bad = xp.equal(ss_resid, 0.0, out=work.take("bad", (m, nb), bool))
-        xp.logical_or(bad, bv < 2, out=bad)
+        bad = xp.equal(ss_resid, 0.0, out=work.take("bad", shape, bool))
+        xp.logical_or(bad, work.constant(self._few)[lo:hi, None], out=bad)
         xp.divide(ss_treat, dof_t, out=ss_treat)
-        xp.divide(ss_resid, dof_r, out=ss_resid)
+        xp.divide(ss_resid, work.constant(self._dof_r)[lo:hi, None],
+                  out=ss_resid)
         F = xp.divide(ss_treat, ss_resid, out=ss_treat)
         F[bad] = np.nan
         return F

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DataError
-from .base import TestStatistic, TwoSampleMoments
+from .base import TestStatistic, TwoSampleMoments, two_class_operands
 
 __all__ = ["EqualVarT"]
 
@@ -35,14 +35,22 @@ class EqualVarT(TestStatistic):
     def _prepare(self, X: np.ndarray, labels: np.ndarray) -> None:
         self._moments = TwoSampleMoments(X)
 
-    def _compute_batch(self, encodings, work) -> np.ndarray:
+    def _row_arrays(self):
+        return self._moments.row_arrays()
+
+    def batch_operands(self, encodings, work):
+        return two_class_operands(encodings, work, self.compute_dtype,
+                                  self._moments.all_valid)
+
+    def score_rows(self, operands, lo, hi, work) -> np.ndarray:
         # sp2 = (ss1 + ss0) / (N1 + N0 - 2);
         # t = (mean1 - mean0) / sqrt(sp2 * (1/N1 + 1/N0)), through pooled
         # buffers (Q1 carries ss1 -> sp2 -> se; S1/S0 become scratch once
         # their products are folded in).  N1/N0 may be (1, nb) rows on
         # fully-valid data, so count-derived scratch broadcasts.
         xp = work.xp
-        N1, S1, Q1, N0, S0, Q0 = self._moments.split(encodings, work)
+        N1, S1, Q1, N0, S0, Q0 = self._moments.split(operands, lo, hi,
+                                                      work)
         shape, dt = S1.shape, self.compute_dtype
         mean1 = xp.divide(S1, N1, out=work.take("mean1", shape, dt))
         mean0 = xp.divide(S0, N0, out=work.take("mean0", shape, dt))

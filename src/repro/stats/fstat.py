@@ -41,36 +41,54 @@ class FStat(TestStatistic):
 
     def _prepare(self, X: np.ndarray, labels: np.ndarray) -> None:
         V = valid_mask(X)
-        self._V = V.astype(X.dtype)
+        Vf = V.astype(X.dtype)
         # Clean data: per-class count GEMMs degenerate to encoding column
         # sums (class_member_counts with a None mask), halving the
         # per-batch GEMM count.
-        self._count_mask = None if V.all() else self._V
+        self._count_mask = None if V.all() else Vf
         self._Xz = np.where(V, X, X.dtype.type(0))
-        self._Xz2 = self._Xz * self._Xz
-        self._n_valid = self._V.sum(axis=1, dtype=X.dtype)
-        self._sum_all = self._Xz.sum(axis=1, dtype=X.dtype)
-        self._sumsq_all = self._Xz2.sum(axis=1, dtype=X.dtype)
+        nv = Vf.sum(axis=1, dtype=X.dtype)
+        grand_sum = self._Xz.sum(axis=1, dtype=X.dtype)
+        sumsq_all = (self._Xz * self._Xz).sum(axis=1, dtype=X.dtype)
+        # Permutation-invariant per-row terms, formed once.
+        with np.errstate(invalid="ignore", divide="ignore"):
+            self._gg = grand_sum * grand_sum / nv
+            self._ss_total = sumsq_all - self._gg
+        self._dof_w = nv - self.k
+        self._few = self._dof_w < 1.0
 
-    def _compute_batch(self, encodings, work) -> np.ndarray:
+    def _row_arrays(self):
+        rows = (self._Xz, self._gg, self._ss_total, self._dof_w, self._few)
+        return rows if self._count_mask is None \
+            else rows + (self._count_mask,)
+
+    def batch_operands(self, encodings, work):
+        """Per-class indicator blocks and, on clean data, their counts."""
+        dt = self.compute_dtype
+        indicators = [self._class_indicator(encodings, j, work)
+                      for j in range(self.k)]
+        if self._count_mask is not None:
+            return indicators, [None] * self.k
+        return indicators, [class_member_counts(None, Gj, work, f"N{j}", dt)
+                            for j, Gj in enumerate(indicators)]
+
+    def score_rows(self, operands, lo, hi, work) -> np.ndarray:
         xp = work.xp
-        m = self.m
-        nb = encodings.shape[0]
-        dt = self._V.dtype
-        nv = work.constant(self._n_valid)[:, None]
-        grand_sum = work.constant(self._sum_all)[:, None]
-        Xz = work.constant(self._Xz)
+        indicators, class_counts = operands
+        shape = (hi - lo, indicators[0].shape[1])
+        dt = self.compute_dtype
+        Xz = work.constant(self._Xz)[lo:hi]
         mask = None if self._count_mask is None \
-            else work.constant(self._count_mask)
+            else work.constant(self._count_mask)[lo:hi]
         # Accumulate sum_j S_j^2 / n_j and detect empty classes.
-        between_raw = work.take("between", (m, nb), dt)
+        between_raw = work.take("between", shape, dt)
         between_raw[...] = 0
-        broken = work.take("broken", (m, nb), bool)
+        broken = work.take("broken", shape, bool)
         broken[...] = False
-        for j in range(self.k):
-            Gj = self._class_indicator(encodings, j, work)
-            Nj = class_member_counts(mask, Gj, work, "Nj", dt)
-            Sj = xp.matmul(Xz, Gj, out=work.take("Sj", (m, nb), dt))
+        for Gj, Nj in zip(indicators, class_counts):
+            if Nj is None:
+                Nj = class_member_counts(mask, Gj, work, "Nj", dt)
+            Sj = xp.matmul(Xz, Gj, out=work.take("Sj", shape, dt))
             empty = xp.equal(Nj, 0.0, out=work.take("empty", Nj.shape, bool))
             xp.logical_or(broken, empty, out=broken)
             with xp.errstate(invalid="ignore", divide="ignore"):
@@ -81,18 +99,18 @@ class FStat(TestStatistic):
             else:                           # (1, nb) count row: mask columns
                 contrib[:, empty[0]] = 0.0
             between_raw += contrib
-        gg = grand_sum * grand_sum / nv          # (m, 1): batch-invariant
+        gg = work.constant(self._gg)[lo:hi, None]
         ss_between = xp.subtract(between_raw, gg, out=between_raw)
-        ss_total = work.constant(self._sumsq_all)[:, None] - gg  # (m, 1)
-        ss_within = xp.subtract(ss_total, ss_between,
-                                out=work.take("within", (m, nb), dt))
+        ss_within = xp.subtract(work.constant(self._ss_total)[lo:hi, None],
+                                ss_between, out=work.take("within", shape, dt))
         xp.maximum(ss_within, 0.0, out=ss_within)
         xp.maximum(ss_between, 0.0, out=ss_between)
         dof_b = self.k - 1.0
-        dof_w = nv - self.k
+        dof_w = work.constant(self._dof_w)[lo:hi, None]
         # Capture the zero-variance mask before ss_within is divided away.
-        zero = xp.equal(ss_within, 0.0, out=work.take("empty", (m, nb), bool))
-        xp.logical_or(broken, dof_w < 1.0, out=broken)
+        zero = xp.equal(ss_within, 0.0, out=work.take("empty", shape, bool))
+        xp.logical_or(broken, work.constant(self._few)[lo:hi, None],
+                      out=broken)
         xp.logical_or(broken, zero, out=broken)
         xp.divide(ss_between, dof_b, out=ss_between)
         xp.divide(ss_within, dof_w, out=ss_within)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DataError
-from .base import TestStatistic
+from .base import TestStatistic, gemm_operand
 from .na import valid_mask
 
 __all__ = ["PairedT"]
@@ -55,32 +55,42 @@ class PairedT(TestStatistic):
         col0 = np.where(one_is_second, cols[:, 0], cols[:, 1])
         D = X[:, col1] - X[:, col0]  # NaN when either member is missing
         Vp = valid_mask(D)
-        self._Vp = Vp.astype(X.dtype)
         self._Dz = np.where(Vp, D, X.dtype.type(0))
-        self._np_valid = self._Vp.sum(axis=1, dtype=X.dtype)
+        self._np_valid = Vp.astype(X.dtype).sum(axis=1, dtype=X.dtype)
+        self._np_valid_m1 = self._np_valid - 1.0
+        self._few = self._np_valid < 2
         self._sumsq = (self._Dz * self._Dz).sum(axis=1, dtype=X.dtype)
 
     def observed_encoding(self) -> np.ndarray:
         return np.ones(self.npairs, dtype=np.int64)
 
-    def _compute_batch(self, encodings, work) -> np.ndarray:
-        xp = work.xp
-        if not xp.isin(encodings, (-1, 1)).all():
+    def _row_arrays(self):
+        return (self._Dz, self._np_valid, self._np_valid_m1, self._few,
+                self._sumsq)
+
+    def batch_operands(self, encodings, work):
+        """The float sign block."""
+        if not work.xp.isin(encodings, (-1, 1)).all():
             raise DataError("pairt encodings must be +/-1 sign vectors")
-        npv = work.constant(self._np_valid)[:, None]
-        Z = self._gemm_operand(encodings, work)
-        m, nb, dt = self._Dz.shape[0], encodings.shape[0], self._Dz.dtype
-        S = xp.matmul(work.constant(self._Dz), Z,
-                      out=work.take("S", (m, nb), dt))
-        mean = xp.divide(S, npv, out=work.take("mean", (m, nb), dt))
+        return gemm_operand(encodings, work, self.compute_dtype)
+
+    def score_rows(self, operands, lo, hi, work) -> np.ndarray:
+        xp = work.xp
+        Z = operands
+        npv = work.constant(self._np_valid)[lo:hi, None]
+        shape, dt = (hi - lo, Z.shape[1]), self._Dz.dtype
+        S = xp.matmul(work.constant(self._Dz)[lo:hi], Z,
+                      out=work.take("S", shape, dt))
+        mean = xp.divide(S, npv, out=work.take("mean", shape, dt))
         xp.multiply(S, mean, out=S)
-        xp.subtract(work.constant(self._sumsq)[:, None], S, out=S)
-        var = xp.divide(S, npv - 1.0, out=S)
+        xp.subtract(work.constant(self._sumsq)[lo:hi, None], S, out=S)
+        var = xp.divide(S, work.constant(self._np_valid_m1)[lo:hi, None],
+                        out=S)
         xp.maximum(var, 0.0, out=var)
         xp.divide(var, npv, out=var)
         se = xp.sqrt(var, out=var)
         t = xp.divide(mean, se, out=mean)
-        bad = xp.equal(se, 0.0, out=work.take("bad", (m, nb), bool))
-        xp.logical_or(bad, npv < 2, out=bad)
+        bad = xp.equal(se, 0.0, out=work.take("bad", shape, bool))
+        xp.logical_or(bad, work.constant(self._few)[lo:hi, None], out=bad)
         t[bad] = np.nan
         return t

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DataError
-from .base import TestStatistic, TwoSampleMoments
+from .base import TestStatistic, TwoSampleMoments, two_class_operands
 
 __all__ = ["WelchT"]
 
@@ -34,14 +34,22 @@ class WelchT(TestStatistic):
     def _prepare(self, X: np.ndarray, labels: np.ndarray) -> None:
         self._moments = TwoSampleMoments(X)
 
-    def _compute_batch(self, encodings, work) -> np.ndarray:
+    def _row_arrays(self):
+        return self._moments.row_arrays()
+
+    def batch_operands(self, encodings, work):
+        return two_class_operands(encodings, work, self.compute_dtype,
+                                  self._moments.all_valid)
+
+    def score_rows(self, operands, lo, hi, work) -> np.ndarray:
         # mean_j = S_j / N_j; var_j = (Q_j - S_j mean_j) / (N_j - 1);
         # t = (mean1 - mean0) / sqrt(var1/N1 + var0/N0), routed through
         # pooled buffers (S_j is consumed by the variance product, Q_j
         # becomes the variance in place).  N1/N0 may be (1, nb) rows on
         # fully-valid data; their derived scratch broadcasts.
         xp = work.xp
-        N1, S1, Q1, N0, S0, Q0 = self._moments.split(encodings, work)
+        N1, S1, Q1, N0, S0, Q0 = self._moments.split(operands, lo, hi,
+                                                      work)
         shape, dt = S1.shape, self.compute_dtype
         mean1 = xp.divide(S1, N1, out=work.take("mean1", shape, dt))
         mean0 = xp.divide(S0, N0, out=work.take("mean0", shape, dt))

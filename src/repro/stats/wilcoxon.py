@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DataError
-from .base import TestStatistic, class_member_counts
+from .base import TestStatistic, two_class_counts, two_class_operands
 from .na import row_ranks, valid_mask
 
 __all__ = ["Wilcoxon"]
@@ -41,38 +41,41 @@ class Wilcoxon(TestStatistic):
 
     def _prepare(self, X: np.ndarray, labels: np.ndarray) -> None:
         V = valid_mask(X)
-        self._V = V.astype(X.dtype)
+        Vf = V.astype(X.dtype)
         # With no missing cells the count GEMM degenerates to column sums
         # of the encoding block (class_member_counts with a None mask),
         # halving the per-batch GEMM work; see TwoSampleMoments.all_valid.
         self._all_valid = bool(V.all())
-        self._count_mask = None if self._all_valid else self._V
+        self._count_mask = None if self._all_valid else Vf
         # 0 at missing cells -> inert in the GEMM
         self._R = row_ranks(X).astype(X.dtype, copy=False)
-        self._n_valid = self._V.sum(axis=1, dtype=X.dtype)
+        self._n_valid = Vf.sum(axis=1, dtype=X.dtype)
+        self._nvp = self._n_valid + 1.0
 
-    def _compute_batch(self, encodings, work) -> np.ndarray:
+    def _row_arrays(self):
+        rows = (self._R, self._n_valid, self._nvp)
+        return rows if self._count_mask is None \
+            else rows + (self._count_mask,)
+
+    def batch_operands(self, encodings, work):
+        return two_class_operands(encodings, work, self.compute_dtype,
+                                  self._all_valid)
+
+    def score_rows(self, operands, lo, hi, work) -> np.ndarray:
         # z = (W - N1 (nv+1)/2) / sqrt(N0 N1 (nv+1)/12) through pooled
-        # buffers; N1/N0 collapse to (1, nb) rows on fully-valid data.
+        # buffers; N1/N0 are (1, nb) rows on fully-valid data.
         xp = work.xp
-        nv = work.constant(self._n_valid)[:, None]
-        dt = self._V.dtype
-        G = self._gemm_operand(encodings, work)
-        m, nb = self._V.shape[0], encodings.shape[0]
-        mask = None if self._count_mask is None \
-            else work.constant(self._count_mask)
-        N1 = class_member_counts(mask, G, work, "N1", dt)
-        # On fully-valid data every n_valid entry is exactly n, so the
-        # (1, nb) subtraction yields the same values the (m, nb) one would.
-        valid_total = dt.type(self.n) if self._all_valid else nv
-        N0 = xp.subtract(valid_total, N1, out=work.take("N0", N1.shape, dt))
-        W = xp.matmul(work.constant(self._R), G,
-                      out=work.take("W", (m, nb), dt))
-        nvp = nv + 1.0  # (m, 1): permutation-invariant, negligible
-        expected = xp.multiply(N1, nvp, out=work.take("E", (m, nb), dt))
+        G = operands[0]
+        shape, dt = (hi - lo, G.shape[1]), self.compute_dtype
+        N1, N0 = two_class_counts(operands, self._count_mask, self._n_valid,
+                                  lo, hi, work, dt)
+        W = xp.matmul(work.constant(self._R)[lo:hi], G,
+                      out=work.take("W", shape, dt))
+        nvp = work.constant(self._nvp)[lo:hi, None]
+        expected = xp.multiply(N1, nvp, out=work.take("E", shape, dt))
         xp.divide(expected, 2.0, out=expected)
         prod = xp.multiply(N0, N1, out=work.take("NN", N1.shape, dt))
-        sd = xp.multiply(prod, nvp, out=work.take("SD", (m, nb), dt))
+        sd = xp.multiply(prod, nvp, out=work.take("SD", shape, dt))
         xp.divide(sd, 12.0, out=sd)
         xp.sqrt(sd, out=sd)
         xp.subtract(W, expected, out=W)
@@ -80,7 +83,7 @@ class Wilcoxon(TestStatistic):
         b1 = xp.less(N1, 1, out=work.take("bad1", N1.shape, bool))
         b2 = xp.less(N0, 1, out=work.take("bad2", N0.shape, bool))
         xp.logical_or(b1, b2, out=b1)
-        b3 = xp.equal(sd, 0.0, out=work.take("bad3", (m, nb), bool))
+        b3 = xp.equal(sd, 0.0, out=work.take("bad3", shape, bool))
         bad = xp.logical_or(b3, b1, out=b3)
         z[bad] = np.nan
         return z

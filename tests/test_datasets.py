@@ -153,6 +153,36 @@ class TestBitIdentity:
                 assert np.array_equal(out.adjp, ref.adjp, equal_nan=True)
 
 
+class TestPublishedBytesUntouched:
+    """The kernel reorders its statistic's operand rows in place; those
+    are private copies, so a published segment must never be permuted."""
+
+    @pytest.mark.parametrize("backend,ranks,schedule", [
+        ("shm", 2, "static"), ("shm", 2, "steal"), ("threads", 2, "static"),
+    ])
+    def test_segment_bytes_unchanged_after_jobs(self, dataset, backend,
+                                                ranks, schedule):
+        X, labels = dataset
+        X = np.vstack([X, X[::-1] * 3.0])        # 120 rows, unsorted scores
+        with open_session(backend, ranks) as ses:
+            h = ses.publish(X, labels=labels)
+            pmaxT(h, B=90, seed=2, session=ses, schedule=schedule)
+            pmaxT(h, B=90, seed=2, session=ses, nonpara="y")
+            record = h._live_record()
+            before = {key: view.tobytes()
+                      for key, (_, view) in record._variants.items()}
+            assert len(before) == 2               # base + pre-ranked
+            for side in ("abs", "upper", "lower"):
+                pmaxT(h, B=90, seed=4, side=side, session=ses,
+                      schedule=schedule)
+                pmaxT(h, B=90, seed=4, side=side, session=ses,
+                      nonpara="y")
+            after = {key: view.tobytes()
+                     for key, (_, view) in record._variants.items()}
+            assert after == before
+            assert np.array_equal(h.base_data(), X)
+
+
 class TestNoBroadcast:
     def test_published_warm_call_moves_no_matrix_bytes(self, dataset):
         X, labels = dataset

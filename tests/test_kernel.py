@@ -9,6 +9,10 @@ from repro.core.kernel import KernelCounts, compute_observed, run_kernel
 from repro.core.options import build_generator, build_statistic, validate_options
 from repro.data import two_class_labels
 from repro.errors import PermutationError
+from repro.stats.base import row_block
+
+#: Rows per kernel block at the default 64-permutation batch.
+BLOCK = row_block(10**6, 64)
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +90,35 @@ class TestRunKernel:
         np.testing.assert_array_equal(whole.raw, partial.raw)
         np.testing.assert_array_equal(whole.adjusted, partial.adjusted)
         assert whole.nperm == partial.nperm
+
+    @pytest.mark.parametrize("m", [1, BLOCK - 1, BLOCK, BLOCK + 1,
+                                   2 * BLOCK + 3])
+    @pytest.mark.parametrize("side", ["abs", "upper", "lower"])
+    def test_chunks_sum_to_serial_across_row_blocks(self, m, side):
+        """Per-unit calls (the steal master's 64-permutation poll units)
+        and uneven chunks sum to one whole run at every block edge."""
+        rng = np.random.default_rng(m)
+        X = rng.normal(size=(m, 12))
+        if m > 2:
+            X[m // 3] = 1.0                      # untestable row
+            X[rng.random(X.shape) < 0.05] = np.nan
+        labels = two_class_labels(6, 6)
+        options = validate_options(labels, test="t", B=200, seed=5,
+                                   side=side)
+        stat = build_statistic(options, X, labels)
+        gen = build_generator(options, labels)
+        observed = compute_observed(stat, side)
+        whole = run_kernel(stat, gen, observed, side, 0, options.nperm)
+        assert (whole.raw >= 1).all() and (whole.adjusted >= 1).all()
+        assert (whole.adjusted <= options.nperm).all()
+        for spans in ([(s, min(64, 200 - s)) for s in range(0, 200, 64)],
+                      [(0, 1), (1, 130), (131, 69)]):
+            partial = KernelCounts.zeros(m)
+            for start, count in spans:
+                partial += run_kernel(stat, gen, observed, side, start,
+                                      count)
+            np.testing.assert_array_equal(whole.raw, partial.raw)
+            np.testing.assert_array_equal(whole.adjusted, partial.adjusted)
 
     def test_chunk_size_does_not_change_counts(self, problem):
         options, stat, gen, observed = problem

@@ -25,14 +25,69 @@ from repro.core.kernel import (
 )
 from repro.core.options import build_generator, build_statistic, validate_options
 from repro.data import synthetic_expression
-from repro.stats.base import WorkBuffers
+from repro.stats.base import WorkBuffers, row_block
+
+#: Rows per block at the default batch size (the kernel's row tiling).
+BLOCK = row_block(10**6, DEFAULT_CHUNK)
 
 
-def _problem(test, labels, m=80, seed=5, B=150, dtype="float64", side="abs"):
-    rng = np.random.default_rng(seed)
+def _null_heavy_row(test, labels):
+    """A row whose observed statistic is 0 but whose permutations score
+    high: every class alternates +10/-10 (class 1 only for pairt, whose
+    pair differences then alternate in sign).  It sits low in the
+    significance ordering and drives the maxima of every row above it."""
+    row = np.zeros(len(labels))
+    for j in ([1] if test == "pairt" else np.unique(labels)):
+        members = np.flatnonzero(labels == j)
+        row[members] = np.where(np.arange(members.size) % 2 == 0, 10.0, -10.0)
+    return row
+
+
+def _layout_matrix(test, labels, layout, rng):
+    """The data of one row-block boundary case (see ``LAYOUTS``): the
+    strongest row mid-matrix, a null-heavy row and a masked row near the
+    top of the input (they land wherever the ordering puts them), and
+    constant rows at the end."""
+    m, na, untestable = LAYOUTS[layout]
     X = rng.normal(size=(m, len(labels)))
-    X[3, 0] = np.nan                     # missing cell
-    X[7, :] = 1.25                       # constant (zero-variance) row
+    if m >= 3:
+        X[m // 2] = labels * 5.0 + 0.1 * rng.normal(size=len(labels))
+        X[1] = _null_heavy_row(test, labels)
+        # Undefined under the observed labels (class 1 all missing) but
+        # finite under most permutations: only the kernel's untestable
+        # mask keeps it out of the maxima.
+        X[2, labels == 1] = np.nan
+    X[m - untestable:] = 1.25            # constant rows: untestable
+    if na:
+        X[rng.random(X.shape) < 0.06] = np.nan
+    return X
+
+
+#: ``layout -> (m, missing cells, untestable rows)``.  Untestable rows
+#: sort to the bottom of the significance ordering, so ``BLOCK + 40`` of
+#: them in ``2 * BLOCK + 3`` rows straddle the bottom block's top edge.
+LAYOUTS = {
+    f"{name}{'-na' if na else ''}": (m, na, untestable)
+    for name, m, untestable in [
+        ("m1", 1, 0),
+        ("block-1", BLOCK - 1, 2),
+        ("block", BLOCK, 2),
+        ("block+1", BLOCK + 1, 2),
+        ("2block+3", 2 * BLOCK + 3, BLOCK + 40),
+    ]
+    for na in (False, True)
+}
+
+
+def _problem(test, labels, m=80, seed=5, B=150, dtype="float64", side="abs",
+             layout=None):
+    rng = np.random.default_rng(seed)
+    if layout is None:
+        X = rng.normal(size=(m, len(labels)))
+        X[3, 0] = np.nan                 # missing cell
+        X[7, :] = 1.25                   # constant (zero-variance) row
+    else:
+        X = _layout_matrix(test, labels, layout, rng)
     options = validate_options(labels, test=test, B=B, dtype=dtype)
     stat = build_statistic(options, X, labels)
     generator = build_generator(options, labels)
@@ -85,11 +140,27 @@ CASES = [
 ]
 
 
+#: Row-block boundary cases: every statistic on every layout.  pairt
+#: gets 8 pairs so its 150 permutations are sampled in 64-wide batches
+#: (6 pairs enumerate only 2**6 = 64, one 63-wide batch).
+BOUNDARY_CASES = [
+    (test, np.array([0, 1] * 8) if test == "pairt" else labels, layout)
+    for test, labels in CASES for layout in LAYOUTS
+]
+REFERENCE_CASES = [(test, labels, None) for test, labels in CASES] \
+    + BOUNDARY_CASES
+REFERENCE_IDS = [c[0] if c[2] is None else f"{c[0]}-{c[2]}"
+                 for c in REFERENCE_CASES]
+
+
 class TestWorkspaceBitIdentity:
-    @pytest.mark.parametrize("test,labels", CASES, ids=[c[0] for c in CASES])
+    @pytest.mark.parametrize("test,labels,layout", REFERENCE_CASES,
+                             ids=REFERENCE_IDS)
     @pytest.mark.parametrize("side", ["abs", "upper", "lower"])
-    def test_counts_match_allocating_reference(self, test, labels, side):
-        options, stat, generator, observed = _problem(test, labels, side=side)
+    def test_counts_match_allocating_reference(self, test, labels, layout,
+                                               side):
+        options, stat, generator, observed = _problem(
+            test, labels, side=side, layout=layout)
         count = options.nperm  # pairt resolves to its complete 2**6 = 64
         got = run_kernel(stat, generator, observed, side, start=0,
                          count=count)
@@ -142,6 +213,46 @@ class TestWorkspaceReuse:
                             workspace=wrong)
         fresh = run_kernel(stat, generator, observed, "abs", 0, 150)
         np.testing.assert_array_equal(counts.raw, fresh.raw)
+
+    def test_workbuffers_smaller_shapes_are_contiguous(self):
+        pool = WorkBuffers()
+        full = pool.take("a", (10, 8))
+        for shape in [(10, 3), (4, 8), (7, 5), (1, 1), (80,)]:
+            view = pool.take("a", shape)
+            assert view.shape == shape
+            assert view.flags.c_contiguous
+            assert np.shares_memory(view, full)
+        # a row block of a tail batch is the leading run of the storage
+        view = pool.take("a", (3, 5))
+        view[...] = np.arange(15).reshape(3, 5)
+        np.testing.assert_array_equal(full.reshape(-1)[:15], np.arange(15))
+        assert pool.take("a", (3, 5)) is view           # cut once, reused
+        grown = pool.take("a", (9, 10))                  # 90 > 80 elements
+        assert grown.shape == (9, 10) and not np.shares_memory(grown, full)
+        assert pool.take("a", (10, 8)).base is grown
+
+    def test_workspace_holds_no_m_sized_buffers(self):
+        _, stat, generator, observed = _problem("t", CASES[0][1],
+                                                m=16 * BLOCK)
+        ws = KernelWorkspace.for_stat(stat, DEFAULT_CHUNK)
+        run_kernel(stat, generator, observed, "abs", 0, 150, workspace=ws)
+        # less than a single whole (m, chunk) score matrix, all buffers in
+        whole = stat.m * DEFAULT_CHUNK * 8
+        assert ws.nbytes() < whole
+
+    def test_kernel_orders_operands_once(self):
+        labels = CASES[0][1]
+        X = _layout_matrix("t", labels, "block+1", np.random.default_rng(2))
+        options = validate_options(labels, test="t", B=150)
+        stat = build_statistic(options, X, labels)
+        observed = compute_observed(stat, "abs")
+        generator = build_generator(options, labels)
+        enc = generator.take_batch(5)
+        before = stat.batch(enc).copy()
+        run_kernel(stat, generator, observed, "abs", 0, 70)
+        assert stat.order_rows(observed.order) is False  # already in order
+        # batch() still answers in original row order
+        np.testing.assert_allclose(stat.batch(enc), before, rtol=1e-12)
 
     def test_workbuffers_views(self):
         pool = WorkBuffers()

@@ -15,9 +15,11 @@ The contracts pinned here (the ISSUE's admission-control checklist):
 """
 
 import functools
+import gc
 import os
 import signal
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from repro.errors import (
     ServiceError,
 )
 from repro.serve import JobSpec, PoolManager
+from repro.serve.jobs import ServiceJob
 
 
 @pytest.fixture
@@ -179,6 +182,64 @@ class TestHealthAndReroute:
                 job.result(timeout=30)
             assert job.state == "failed"
             assert manager.stats()["jobs_rerouted"] == 0
+
+
+class TestInputRelease:
+    """Finished jobs must not pin their submitted matrix (the manager
+    retains up to 2000 of them for polling)."""
+
+    @staticmethod
+    def _matrix_ref(dataset):
+        X, y = dataset
+        X = X.copy()
+        return X, y, weakref.ref(X)
+
+    @staticmethod
+    def _assert_released(job, ref):
+        gc.collect()
+        assert job.spec.data is None and job.spec.labels is None
+        assert ref() is None
+
+    def test_done_job_drops_its_matrix(self, dataset):
+        X, y, ref = self._matrix_ref(dataset)
+        with PoolManager("threads", 2, pools=1) as manager:
+            job = manager.submit_pmaxt(X, y, B=60, seed=3)
+            del X
+            job.result(timeout=60)
+            assert job.state == "done"
+            self._assert_released(job, ref)
+            assert manager.job(job.id) is job
+
+    def test_failed_job_drops_its_matrix(self, dataset):
+        X, y, ref = self._matrix_ref(dataset)
+        with PoolManager("serial", 1, pools=1) as manager:
+            job = manager.submit_pmaxt(X, y, B=60, test="no-such-test")
+            del X
+            job.wait(timeout=60)
+            assert job.state == "failed"
+            self._assert_released(job, ref)
+
+    def test_cancelled_job_drops_its_matrix(self, dataset):
+        X, y, ref = self._matrix_ref(dataset)
+        started, release = threading.Event(), threading.Event()
+        with PoolManager("serial", 1, pools=1) as manager:
+            manager.submit(JobSpec(
+                kind="fn",
+                fn=functools.partial(_wait_blocker, started=started,
+                                     release=release)))
+            assert started.wait(30)
+            job = manager.submit_pmaxt(X, y, B=60)
+            del X
+            assert job.cancel() is True
+            self._assert_released(job, ref)
+            release.set()
+
+    def test_requeued_job_keeps_its_matrix(self, dataset):
+        X, y = dataset
+        job = ServiceJob("job-x", JobSpec(kind="pmaxt", data=X, labels=y))
+        assert job._start(0)
+        job._requeue()
+        assert job.spec.data is X and job.spec.labels is y
 
 
 class TestCacheAndIdentity:
