@@ -9,12 +9,16 @@ paper's future-work list — checkpoint/restart of an interrupted run.
 Run: ``python examples/sprint_session.py``
 """
 
+import multiprocessing
+import os
+import signal
 import tempfile
+import time
+from pathlib import Path
 
 import numpy as np
 
 from repro import pmaxT
-from repro.core.checkpoint import CheckpointStore
 from repro.data import synthetic_expression, two_class_labels
 from repro.sprint import SprintSession, default_registry, run_sprint
 
@@ -60,42 +64,37 @@ def main() -> None:
           f"{res.nranks} OS ranks, top gene adjp = {np.nanmin(res.adjp):.4f}\n")
 
     # --- fault tolerance (paper future-work item 1) -----------------------
+    # A checkpointed pmaxT survives losing the whole job, master included:
+    # the master persists the block ledger (covered permutation ranges and
+    # their summed counts) and a re-run resumes from it at any rank count.
+    full = pmaxT(X, labels, B=2_000, seed=23)
     with tempfile.TemporaryDirectory() as ckpt:
-        from repro.core.checkpoint import problem_fingerprint
-        from repro.core.options import validate_options
+        job = multiprocessing.get_context("spawn").Process(
+            target=_long_checkpointed_run, args=(X, labels, ckpt))
+        job.start()
+        ledger = Path(ckpt) / "ledger.npz"
+        while not ledger.exists() and job.is_alive():
+            time.sleep(0.01)
+        os.kill(job.pid, signal.SIGKILL)  # crash: no cleanup runs
+        job.join(timeout=60)
+        assert not job.is_alive()
+        with np.load(ledger) as saved:
+            print(f"job killed with {int(saved['nperm'])}/2000 permutations "
+                  "checkpointed; resuming on 3 ranks...")
 
-        full = pmaxT(X, labels, B=2_000, seed=23)
-
-        # simulate a crash partway through a checkpointed run
-        from repro.core.checkpoint import run_kernel_resumable
-        from repro.core.kernel import compute_observed
-        from repro.core.options import build_generator, build_statistic
-
-        options = validate_options(labels, B=2_000, seed=23)
-        stat = build_statistic(options, X, labels)
-        gen = build_generator(options, labels)
-        observed = compute_observed(stat, options.side)
-        fp = problem_fingerprint(X, labels, options, 0, options.nperm)
-        store = CheckpointStore(ckpt)
-        try:
-            run_kernel_resumable(stat, gen, observed, options.side, 0,
-                                 options.nperm, store=store, fingerprint=fp,
-                                 interval=250, fail_after=900)
-        except RuntimeError as exc:
-            print(f"simulated failure: {exc}")
-        state = store.load(fp)
-        print(f"checkpoint holds {state.position}/{options.nperm} "
-              "permutations; resuming...")
-        counts = run_kernel_resumable(stat, gen, observed, options.side, 0,
-                                      options.nperm, store=store,
-                                      fingerprint=fp, interval=250)
-        print(f"resumed run finished: {counts.nperm} permutations total")
-
-        # a checkpointed pmaxT produces exactly the uninterrupted answer
-        res = pmaxT(X, labels, B=2_000, seed=23, checkpoint_dir=ckpt)
+        res = pmaxT(X, labels, B=2_000, seed=23, backend="threads", ranks=3,
+                    checkpoint_dir=ckpt, checkpoint_interval=250)
         assert np.array_equal(res.rawp, full.rawp)
-        print("checkpointed pmaxT result identical to the uninterrupted "
-              "run — long analyses survive failures without losing work")
+        assert np.array_equal(res.adjp, full.adjp)
+        print("resumed pmaxT result identical to the uninterrupted run — "
+              "long analyses survive failures without losing work")
+
+
+def _long_checkpointed_run(X, labels, ckpt):
+    """A 2-rank checkpointed run, slowed to ~2 s by the test delay hook."""
+    os.environ["REPRO_STEAL_TEST_DELAY"] = "*:0.002"
+    pmaxT(X, labels, B=2_000, seed=23, backend="threads", ranks=2,
+          checkpoint_dir=ckpt, checkpoint_interval=250)
 
 
 if __name__ == "__main__":

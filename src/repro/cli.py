@@ -102,14 +102,15 @@ def build_parser() -> argparse.ArgumentParser:
                         help="permutation scheduling: 'static' is the "
                         "paper's fixed Figure-2 partition, 'steal' the "
                         "block-granular work-stealing dispatch (bit-"
-                        "identical results), 'auto' picks steal whenever "
-                        "the run supports it (default: auto)")
+                        "identical results), 'auto' steals on every "
+                        "multi-rank world (default: auto)")
     parser.add_argument("--steal-block", type=int, default=None,
                         metavar="N",
                         help="permutations per stealable block "
                         "(default: 256)")
     parser.add_argument("--checkpoint-dir", default=None,
-                        help="enable checkpoint/restart into this directory")
+                        help="enable checkpoint/restart into this directory "
+                        "(a re-run resumes at any rank count)")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="content-addressed result cache: a repeated "
                         "identical analysis is answered from disk, and a "

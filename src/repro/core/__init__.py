@@ -9,7 +9,7 @@
 """
 
 from .adjust import SIDES, pvalues_from_counts, side_adjust, significance_order, successive_maxima
-from .checkpoint import CheckpointStore, problem_fingerprint, run_kernel_resumable
+from .checkpoint import CheckpointStore
 from .kernel import DEFAULT_CHUNK, TIE_TOLERANCE, KernelCounts, ObservedScores, compute_observed, run_kernel
 from .maxt import mt_maxT
 from .options import MaxTOptions, build_generator, build_statistic, validate_options
@@ -21,8 +21,6 @@ from .transpose import transpose_copy, transpose_inplace
 
 __all__ = [
     "CheckpointStore",
-    "problem_fingerprint",
-    "run_kernel_resumable",
     "transpose_inplace",
     "transpose_copy",
     "TIE_TOLERANCE",

@@ -1,4 +1,4 @@
-"""Kernel checkpointing and restart (paper future-work item 1).
+"""Ledger checkpointing and the result cache (paper future-work item 1).
 
     "Better support for fault tolerance and checkpointing; whereas this is
     not available in the existing serial R implementation, this may be of
@@ -6,21 +6,26 @@
     tests on ever larger datasets." — paper Section 6.
 
 The maxT kernel state is tiny and additive — two integer count vectors plus
-the number of permutations consumed — so checkpointing is cheap: after every
-``interval`` permutations a rank atomically rewrites one small ``.npz`` file.
-On restart, :func:`run_kernel_resumable` validates the checkpoint against a
-**fingerprint** of the problem (data digest, options, chunk assignment) and
-continues from the recorded position; a mismatched fingerprint is refused
-rather than silently blended into a different problem's counts.
+the number of permutations consumed — so checkpointing is cheap.  Every
+``pmaxT`` run executes under the master's block ledger
+(:mod:`repro.core.steal`), so the master alone checkpoints the whole world:
+after merges it atomically rewrites one small ``ledger.npz`` holding the
+permutation ranges covered so far and their summed counts, at least every
+``checkpoint_interval`` permutations (:class:`CheckpointStore`).
 
-Because permutation index ``k`` is reproducible in isolation (fixed-seed and
-complete generators are random access; stream generators re-forward), a
-resumed run produces **bit-identical** results to an uninterrupted one —
+A checkpoint is keyed by the analysis — :func:`result_cache_key` plus
+``nperm`` — and never by the world that wrote it.  A re-run therefore
+resumes at **any** rank count, schedule or block size: the covered ranges
+become the new job's prior and only the gaps are carved into blocks.  A
+checkpoint of a different problem is refused rather than blended into the
+wrong counts.  Because permutation index ``k`` is reproducible in isolation
+(fixed-seed and complete generators are random access; stream generators
+re-forward), a resumed run is **bit-identical** to an uninterrupted one —
 the same guarantee the parallel decomposition itself relies on.
 
-The per-rank file layout (``rank<r>.npz`` inside a run directory) extends
-naturally to the MPI setting: each rank checkpoints independently, and a
-restarted job of the same world size resumes every chunk.
+The same additivity powers :class:`ResultCache`: completed count totals
+keyed by dataset and analysis, extended to a larger ``B`` by a ledger whose
+prior is the cached prefix.
 """
 
 from __future__ import annotations
@@ -42,51 +47,38 @@ except ImportError:  # pragma: no cover - non-POSIX fallback: no locking
 import numpy as np
 
 from ..errors import DataError
-from ..permute.base import PermutationGenerator
-from ..stats.base import TestStatistic
-from .kernel import (
-    DEFAULT_CHUNK,
-    KernelCounts,
-    KernelWorkspace,
-    ObservedScores,
-    run_kernel,
-)
+from .kernel import KernelCounts
 from .options import MaxTOptions
 
 __all__ = [
-    "problem_fingerprint",
     "dataset_fingerprint",
     "result_cache_key",
     "CheckpointStore",
+    "LedgerCheckpoint",
     "CachedResult",
     "ResultCache",
-    "run_kernel_resumable",
 ]
 
 
-def problem_fingerprint(X: np.ndarray, classlabel: np.ndarray,
-                        options: MaxTOptions, start: int, count: int) -> str:
-    """Digest identifying one rank's kernel problem exactly.
+def _atomic_savez(path: Path, **arrays) -> None:
+    """Write an ``.npz`` next to ``path`` and rename it into place.
 
-    Covers the data bytes, the labels, every option that affects the
-    permutation sequence or the statistics, and the chunk assignment.  Any
-    difference — even a changed seed or chunk boundary — yields a different
-    fingerprint, so stale checkpoints can never be resumed into the wrong
-    computation.
+    A crash mid-write can never leave a half-written file that a later
+    load would trust.
     """
-    h = hashlib.sha256()
-    data = np.ascontiguousarray(np.asarray(X, dtype=np.float64))
-    labels = np.ascontiguousarray(np.asarray(classlabel, dtype=np.int64))
-    h.update(data.tobytes())
-    h.update(labels.tobytes())
-    payload = (
-        options.test, options.side, options.fixed_seed_sampling, options.B,
-        options.na, options.nonpara, options.seed, options.nperm,
-        options.complete, options.store, options.dtype,
-        int(start), int(count),
-    )
-    h.update(repr(payload).encode())
-    return h.hexdigest()
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.savez(fh, **arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def _text(value: str) -> np.ndarray:
+    return np.frombuffer(value.encode(), dtype=np.uint8)
 
 
 def dataset_fingerprint(X: np.ndarray,
@@ -136,78 +128,64 @@ def result_cache_key(dataset_fp: str, options: MaxTOptions) -> str:
 
 
 @dataclass
-class _CheckpointState:
-    """What a checkpoint file holds."""
+class LedgerCheckpoint:
+    """What a ledger checkpoint holds: covered ranges and their counts."""
 
-    fingerprint: str
-    position: int          # permutations of the chunk already consumed
+    covered: list[tuple[int, int]]
     counts: KernelCounts
 
 
 class CheckpointStore:
-    """Atomic on-disk storage of one rank's kernel progress."""
+    """Atomic on-disk progress of one analysis, written by the master.
 
-    def __init__(self, directory: str | Path, rank: int = 0):
+    ``key`` identifies the analysis (pmaxT uses :func:`result_cache_key`
+    plus ``nperm``); the directory holds one ``ledger.npz``.
+    """
+
+    def __init__(self, directory: str | Path, key: str):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.rank = int(rank)
-        self.path = self.directory / f"rank{self.rank}.npz"
+        self.key = key
+        self.path = self.directory / "ledger.npz"
         self.saves = 0
 
-    def save(self, fingerprint: str, position: int,
-             counts: KernelCounts) -> None:
-        """Atomically persist progress (write-to-temp + rename)."""
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                np.savez(
-                    fh,
-                    fingerprint=np.frombuffer(
-                        fingerprint.encode(), dtype=np.uint8),
-                    position=np.int64(position),
-                    raw=counts.raw,
-                    adjusted=counts.adjusted,
-                    nperm=np.int64(counts.nperm),
-                )
-            os.replace(tmp, self.path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+    def save(self, covered, counts: KernelCounts) -> None:
+        """Atomically persist the covered ranges and their summed counts."""
+        _atomic_savez(
+            self.path, key=_text(self.key),
+            covered=np.asarray(covered, dtype=np.int64).reshape(-1, 2),
+            raw=counts.raw, adjusted=counts.adjusted,
+            nperm=np.int64(counts.nperm))
         self.saves += 1
 
-    def load(self, fingerprint: str) -> _CheckpointState | None:
-        """Load progress if a checkpoint for this exact problem exists.
+    def load(self) -> LedgerCheckpoint | None:
+        """This analysis's progress, or ``None`` when nothing was saved.
 
-        Returns ``None`` when no checkpoint is present.  A checkpoint for a
-        *different* fingerprint raises :class:`DataError` — resuming it
-        would corrupt the counts.
+        A checkpoint of a *different* analysis (data, options or ``B``)
+        raises :class:`DataError` — resuming it would corrupt the counts.
         """
         if not self.path.exists():
             return None
         with np.load(self.path) as data:
-            stored = bytes(data["fingerprint"]).decode()
-            if stored != fingerprint:
+            stored = bytes(data["key"]).decode()
+            if stored != self.key:
                 raise DataError(
                     f"checkpoint {self.path} belongs to a different problem "
-                    f"(fingerprint {stored[:12]}… != {fingerprint[:12]}…); "
-                    "delete it or use a fresh checkpoint directory"
-                )
-            counts = KernelCounts(
-                raw=data["raw"].copy(),
-                adjusted=data["adjusted"].copy(),
-                nperm=int(data["nperm"]),
-            )
-            return _CheckpointState(
-                fingerprint=stored,
-                position=int(data["position"]),
-                counts=counts,
-            )
+                    f"(key {stored[:12]}… != {self.key[:12]}…); delete it "
+                    "or use a fresh checkpoint directory")
+            covered = [(int(a), int(b)) for a, b in data["covered"]]
+            counts = KernelCounts(raw=data["raw"].copy(),
+                                  adjusted=data["adjusted"].copy(),
+                                  nperm=int(data["nperm"]))
+        if sum(b - a for a, b in covered) != counts.nperm:
+            raise DataError(
+                f"checkpoint {self.path} is inconsistent: its ranges do "
+                f"not cover its {counts.nperm} permutations")
+        return LedgerCheckpoint(covered=covered, counts=counts)
 
     def clear(self) -> None:
-        """Remove the checkpoint (call after a successful run)."""
-        if self.path.exists():
-            self.path.unlink()
+        """Remove the checkpoint (called after a successful run)."""
+        self.path.unlink(missing_ok=True)
 
 
 @dataclass
@@ -238,9 +216,9 @@ class ResultCache:
     returns the largest such entry as an extension base when no exact
     match exists, and the caller computes only ``[nperm_old, nperm_new)``.
 
-    Writes reuse the checkpoint machinery's atomic pattern
-    (write-to-temp + ``os.replace``), so a crash mid-save can never leave
-    a half-written entry that a later lookup would trust.
+    Writes share the checkpoint's atomic pattern (write-to-temp +
+    ``os.replace``), so a crash mid-save can never leave a half-written
+    entry that a later lookup would trust.
 
     Cross-process coordination uses an advisory ``flock`` on a
     ``.cache.lock`` file in the directory: readers and writers take it
@@ -309,24 +287,11 @@ class ResultCache:
         record["nperm"] = int(nperm)
         path = self._path(key, nperm)
         with self._dir_lock(exclusive=False):
-            fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    np.savez(
-                        fh,
-                        key=np.frombuffer(key.encode(), dtype=np.uint8),
-                        nperm=np.int64(nperm),
-                        teststat=np.asarray(teststat),
-                        raw=np.asarray(counts.raw),
-                        adjusted=np.asarray(counts.adjusted),
-                        meta=np.frombuffer(
-                            json.dumps(record).encode(), dtype=np.uint8),
-                    )
-                os.replace(tmp, path)
-            except BaseException:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-                raise
+            _atomic_savez(
+                path, key=_text(key), nperm=np.int64(nperm),
+                teststat=np.asarray(teststat), raw=np.asarray(counts.raw),
+                adjusted=np.asarray(counts.adjusted),
+                meta=_text(json.dumps(record)))
         self._auto_sweep()
         return path
 
@@ -344,20 +309,9 @@ class ResultCache:
         record.setdefault("created", time.time())
         path = self.directory / f"{kind}-{key}.npz"
         with self._dir_lock(exclusive=False):
-            fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    np.savez(
-                        fh,
-                        meta=np.frombuffer(
-                            json.dumps(record).encode(), dtype=np.uint8),
-                        **{name: np.asarray(a) for name, a in arrays.items()},
-                    )
-                os.replace(tmp, path)
-            except BaseException:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-                raise
+            _atomic_savez(
+                path, meta=_text(json.dumps(record)),
+                **{name: np.asarray(a) for name, a in arrays.items()})
         self._auto_sweep()
         return path
 
@@ -521,88 +475,3 @@ class ResultCache:
             f"ResultCache({str(self.directory)!r}, hits={self.hits}, "
             f"misses={self.misses}, extended={self.extensions})"
         )
-
-
-def run_kernel_resumable(
-    stat: TestStatistic,
-    generator: PermutationGenerator,
-    observed: ObservedScores,
-    side: str,
-    start: int,
-    count: int,
-    *,
-    store: CheckpointStore,
-    fingerprint: str,
-    interval: int = 2_048,
-    chunk_size: int = DEFAULT_CHUNK,
-    first_is_observed: bool | None = None,
-    fail_after: int | None = None,
-    engine=None,
-    engine_batch: int | None = None,
-) -> KernelCounts:
-    """Run the kernel over ``[start, start + count)`` with checkpointing.
-
-    Resumes from ``store`` when a matching checkpoint exists, saves every
-    ``interval`` permutations, and leaves the final checkpoint in place
-    (callers decide when to ``clear`` it).
-
-    Parameters
-    ----------
-    fail_after:
-        Testing hook: raise ``RuntimeError`` after this many permutations
-        have been processed *in this invocation*, simulating the mid-run
-        crash the checkpointing exists to survive.
-
-    Returns
-    -------
-    KernelCounts
-        Counts over the full chunk, identical to an uninterrupted
-        :func:`~repro.core.kernel.run_kernel`.
-    """
-    if interval <= 0:
-        raise DataError(f"checkpoint interval must be positive, got {interval}")
-    if first_is_observed is None:
-        first_is_observed = start == 0
-
-    state = store.load(fingerprint)
-    if state is not None:
-        done = state.position
-        counts = state.counts
-    else:
-        done = 0
-        counts = KernelCounts.zeros(observed.m)
-
-    # One workspace serves every checkpoint interval of this problem.
-    workspace = KernelWorkspace.for_stat(stat, chunk_size, engine=engine,
-                                         engine_batch=engine_batch)
-    processed_now = 0
-    while done < count:
-        step = min(interval, count - done)
-        if fail_after is not None and processed_now + step > fail_after:
-            step = fail_after - processed_now
-            if step > 0:
-                piece = run_kernel(
-                    stat, generator, observed, side,
-                    start=start + done, count=step, chunk_size=chunk_size,
-                    first_is_observed=first_is_observed and done == 0,
-                    workspace=workspace,
-                    engine=engine, engine_batch=engine_batch,
-                )
-                counts += piece
-                done += step
-                store.save(fingerprint, done, counts)
-            raise RuntimeError(
-                f"injected failure after {fail_after} permutations"
-            )
-        piece = run_kernel(
-            stat, generator, observed, side,
-            start=start + done, count=step, chunk_size=chunk_size,
-            first_is_observed=first_is_observed and done == 0,
-            workspace=workspace,
-            engine=engine, engine_batch=engine_batch,
-        )
-        counts += piece
-        done += step
-        processed_now += step
-        store.save(fingerprint, done, counts)
-    return counts

@@ -195,24 +195,14 @@ def build_statistic(options: MaxTOptions, X, classlabel,
     )
 
 
-def build_generator(
-    options: MaxTOptions,
-    classlabel,
-    *,
-    store_slice: tuple[int, int] | None = None,
-) -> PermutationGenerator:
+def build_generator(options: MaxTOptions, classlabel) -> PermutationGenerator:
     """Instantiate the permutation generator for a validated option set.
 
     Implements the paper's Section 3.1 decision table: complete enumeration
     and ``blockf`` always use the on-the-fly (fixed-seed) generator; random
-    sampling honours ``fixed.seed.sampling``.
-
-    Parameters
-    ----------
-    store_slice:
-        When the stored mode is in effect, materialise only the permutation
-        index range ``[start, start + count)`` — the per-rank chunk — instead
-        of all ``B`` rows.  Ignored in on-the-fly mode.
+    sampling honours ``fixed.seed.sampling``.  In stored mode all ``B``
+    rows are materialised; ``pmaxT`` instead stores one block at a time
+    from the unstored stream (``replace(options, store=False)``).
     """
     labels = np.asarray(classlabel, dtype=np.int64)
     test = options.test
@@ -246,10 +236,5 @@ def build_generator(
                                  fixed_seed=True)
 
     if options.store:
-        if store_slice is None:
-            store_slice = (0, options.nperm)
-        start, count = store_slice
-        gen = StoredPermutations(gen, start=start, count=count)
-        # A stored slice replays with local indices; callers treat it as a
-        # generator already forwarded to `start`.
+        gen = StoredPermutations(gen)
     return gen

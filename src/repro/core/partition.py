@@ -35,6 +35,7 @@ __all__ = [
     "Block",
     "carve_blocks",
     "plan_initial_runs",
+    "plan_ledger",
 ]
 
 
@@ -120,15 +121,16 @@ def partition_permutations(nperm: int, nranks: int) -> PartitionPlan:
     return PartitionPlan(nperm=nperm, nranks=nranks, chunks=tuple(chunks))
 
 
-# -- block-granular carving (work-stealing scheduler) ---------------------------
+# -- block-granular carving (the Step-4/5 block ledger) --------------------------
 #
-# The static plan above assigns each rank one contiguous range up front; the
-# work-stealing scheduler instead carves the same range into fixed-size
-# blocks and hands them out dynamically.  Because the Philox keystream gives
-# O(1) seek to any permutation index and the counts are associative
-# per-block sums, *any* block-to-rank assignment reproduces the static
-# result bit for bit — the blocks only decide who computes what, never what
-# is computed.
+# Every pmaxT run executes as a set of blocks tracked by the master's block
+# ledger (:mod:`repro.core.steal`).  The static plan above is the degenerate
+# assignment: one block per rank and nothing left to steal.  The steal
+# schedule carves the same permutations into fixed-size blocks and hands
+# most of them out dynamically.  Because the Philox keystream gives O(1)
+# seek to any permutation index and the counts are associative per-block
+# sums, *any* block-to-rank assignment reproduces the static result bit for
+# bit — the blocks only decide who computes what, never what is computed.
 
 
 @dataclass(frozen=True)
@@ -192,3 +194,57 @@ def plan_initial_runs(nblocks: int, nranks: int) -> tuple[range, ...]:
         runs.append(range(at, at + take))
         at += take
     return tuple(runs)
+
+
+def plan_ledger(nperm: int, nranks: int, *, covered=(),
+                block_size: int | None = None, max_block: int | None = None
+                ) -> tuple[tuple[Block, ...], tuple[range, ...]]:
+    """Blocks covering ``[0, nperm)`` minus ``covered``, and each rank's run.
+
+    ``covered`` lists the disjoint ``(start, stop)`` ranges finished
+    before the job (a checkpoint, a cached prefix); the blocks tile the
+    gaps between them.
+
+    ``block_size=None`` is the static Figure-2 plan: the pending
+    permutations are split into one contiguous share per rank
+    (:func:`partition_permutations`), each share is that rank's run, and
+    the steal pool stays empty.  An integer carves every gap into blocks
+    of that size and gives each rank a short initial run
+    (:func:`plan_initial_runs`); the remaining blocks form the pool.
+    ``max_block`` caps every block (the checkpoint interval), so progress
+    reaches the master at that granularity.  Blocks come in ascending
+    index order; rank ``r`` owns the block ids ``runs[r]``.
+    """
+    pending: list[tuple[int, int]] = []
+    at = 0
+    for a, b in sorted(covered):
+        if a > at:
+            pending.append((at, a))
+        at = max(at, b)
+    if at < nperm:
+        pending.append((at, nperm))
+    total = sum(b - a for a, b in pending)
+    if total == 0:
+        return (), tuple(range(0) for _ in range(nranks))
+    blocks: list[Block] = []
+    if block_size is not None:
+        size = block_size if max_block is None else min(block_size, max_block)
+        for a, b in pending:
+            for piece in carve_blocks(a, b, size):
+                blocks.append(Block(len(blocks), piece.start, piece.count))
+        return tuple(blocks), plan_initial_runs(len(blocks), nranks)
+    runs: list[range] = []
+    gaps = iter(pending)
+    at, stop = next(gaps)
+    for chunk in partition_permutations(total, nranks).chunks:
+        first, left = len(blocks), chunk.count
+        while left > 0:
+            if at == stop:
+                at, stop = next(gaps)
+            take = min(left, stop - at)
+            for piece in carve_blocks(at, at + take, max_block or take):
+                blocks.append(Block(len(blocks), piece.start, piece.count))
+            at += take
+            left -= take
+        runs.append(range(first, len(blocks)))
+    return tuple(blocks), tuple(runs)

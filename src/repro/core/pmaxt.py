@@ -12,11 +12,14 @@ Implements the six steps of the paper's Section 3.2 on top of the
 * **Step 3** — the input matrix and class labels are broadcast and
   transformed to the layout the kernel expects, and a global sum confirms
   every rank finished allocation (``create data``).
-* **Step 4** — every rank computes its permutation chunk from the shared
-  partition plan, forwards its generator, and runs the kernel
-  (``main kernel``).
-* **Step 5** — the master reduces the partial counts and computes the raw
-  and adjusted p-values (``compute p-values``).
+* **Step 4** — every rank runs the kernel over its permutation blocks
+  under the master's block ledger (:mod:`repro.core.steal`): the static
+  Figure-2 plan is one block per rank, the steal schedule hands blocks to
+  whichever rank is free (``main kernel``).
+* **Step 5** — the counts rode the ledger's messages, so the master
+  already holds the world totals; it adds the job's prior (a checkpoint
+  or cached prefix) and computes the raw and adjusted p-values
+  (``compute p-values``).
 * **Step 6** — buffers are released (Python's GC makes this implicit).
 
 The five timed sections correspond one-to-one to the columns of the paper's
@@ -33,12 +36,13 @@ Execution backends
 ------------------
 
 :func:`pmaxT` is substrate-agnostic: the data broadcast uses the
-communicator's ``bcast_array`` and the count reduction ``reduce_array``,
-so each backend moves arrays its own best way (shared address space for
-``serial``/``threads``, pickled queues for ``processes``, zero-copy
-shared-memory segments for ``shm``).  Callers pick the substrate either by
-running their own SPMD world and passing ``comm=``, or — the convenience
-path — by naming a registered backend::
+communicator's ``bcast_array``, so each backend moves arrays its own best
+way (shared address space for ``serial``/``threads``, pickled queues for
+``processes``, zero-copy shared-memory segments for ``shm``), and the
+counts travel point-to-point with the ledger's block reports (multi-rank
+worlds need any-source receive: ``recv_any``/``poll_any``).  Callers pick
+the substrate either by running their own SPMD world and passing
+``comm=``, or — the convenience path — by naming a registered backend::
 
     result = pmaxT(X, labels, B=10_000, backend="shm", ranks=8)
 
@@ -52,8 +56,8 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import replace
+from typing import Any, Callable
 
 import numpy as np
 
@@ -61,10 +65,16 @@ from ..errors import DataError, OptionError
 from ..mpi import Communicator, SUM, SerialComm
 from ..mpi.datasets import PublishedDataset, attach_published_view
 from ..mpi.session import BackendSession, resident_cache
-from ..permute import DEFAULT_COMPLETE_LIMIT, DEFAULT_SEED
+from ..permute import DEFAULT_COMPLETE_LIMIT, DEFAULT_SEED, StoredPermutations
 from ..stats import MT_NA_NUM
 from ..stats.na import to_nan
 from .adjust import pvalues_from_counts, side_adjust, significance_order
+from .checkpoint import (
+    CheckpointStore,
+    ResultCache,
+    dataset_fingerprint,
+    result_cache_key,
+)
 from .kernel import (
     DEFAULT_CHUNK,
     KernelCounts,
@@ -73,8 +83,8 @@ from .kernel import (
     run_kernel,
 )
 from .options import MaxTOptions, build_generator, build_statistic, validate_options
-from .partition import carve_blocks, partition_permutations, plan_initial_runs
-from .profile import SectionProfile, SectionTimer
+from .partition import plan_ledger
+from .profile import SectionTimer
 from .result import MaxTResult
 from .steal import (
     DEFAULT_STEAL_BLOCK,
@@ -144,76 +154,21 @@ def _unpack_options(t: tuple) -> MaxTOptions:
     )
 
 
-# Per-process steal-epoch counter: every steal job gets a fresh
-# point-to-point tag (shipped to workers in the Step-2 broadcast), so a
-# frame sent by a rank that died mid-job can never be mistaken for a
-# message belonging to a later job on the same persistent world.
+# Per-process steal-epoch counter: every job gets a fresh point-to-point
+# tag (shipped to workers in the Step-2 broadcast), so a frame sent by a
+# rank that died mid-job can never be mistaken for a message belonging to
+# a later job on the same persistent world.
 _STEAL_EPOCH = itertools.count(1)
 
 
-def _resolve_schedule(schedule: str, steal_block: int | None,
-                      options: MaxTOptions, checkpoint_dir: str | None,
-                      world_size: int) -> tuple | None:
-    """Master-side schedule resolution (Step 1).
-
-    Returns ``None`` for the static Figure-2 plan or ``(block_size, tag)``
-    for the work-stealing schedule.  ``auto`` steals whenever it can:
-    multi-rank world, no stored permutations (stored mode materialises one
-    contiguous slice per rank) and no checkpointing (checkpoints assume the
-    static contiguous chunk).  The counts are bit-identical either way —
-    the schedule decides who computes each block, never what is computed.
-    """
-    if schedule not in ("auto", "static", "steal"):
-        raise OptionError(
-            f"schedule must be 'auto', 'static' or 'steal', got {schedule!r}")
-    if steal_block is not None and int(steal_block) < 1:
-        raise OptionError(f"steal_block must be >= 1, got {steal_block}")
-    if schedule == "static":
-        return None
-    blocked = []
-    if options.store:
-        blocked.append("stored permutations")
-    if checkpoint_dir is not None:
-        blocked.append("checkpointing")
-    if world_size <= 1:
-        blocked.append("a one-rank world")
-    if blocked:
-        if schedule == "steal":
-            raise OptionError(
-                f"schedule='steal' is incompatible with {', '.join(blocked)}")
-        return None
-    block_size = int(steal_block) if steal_block is not None \
-        else DEFAULT_STEAL_BLOCK
-    tag = STEAL_TAG_BASE + next(_STEAL_EPOCH) % 0x100000
-    return (block_size, tag)
-
-
-@dataclass
-class _RangeCounts:
-    """Master-side return of a ranged run (``return_counts=True``).
-
-    Carries exactly what the result cache needs to extend an entry: the
-    observed statistics (for a consistency check against the cached
-    ones) and the world-total counts over the requested permutation
-    range, ``adjusted`` in significance order.
-    """
-
-    teststat: np.ndarray
-    counts: KernelCounts
-    nranks: int
-    profile: SectionProfile | None = None
-
-
-def _session_worker(comm: Communicator, checkpoint_dir: str | None = None,
-                    checkpoint_interval: int = 2_048) -> MaxTResult | None:
+def _session_worker(comm: Communicator) -> MaxTResult | None:
     """Worker-rank pmaxT under a persistent session.
 
     Module-level (hence picklable) counterpart of the launch closure:
-    worker ranks need no data or options of their own — both arrive via
-    the master's Step 2/3 broadcasts — only the local checkpoint knobs.
+    worker ranks need no inputs of their own — data, options and the
+    block plan all arrive via the master's Step 2/3 broadcasts.
     """
-    return _pmaxt_run(None, None, comm=comm, checkpoint_dir=checkpoint_dir,
-                      checkpoint_interval=checkpoint_interval)
+    return _pmaxt_run(None, None, comm=comm)
 
 
 def pmaxT(
@@ -274,11 +229,13 @@ def pmaxT(
     paper's Figure-2 plan (one contiguous range per rank, fixed up
     front), ``"steal"`` the block-granular work-stealing scheduler
     (finished ranks steal blocks from stragglers via the master), and
-    ``"auto"`` (default) steals whenever the job allows it — multi-rank,
-    no stored permutations, no checkpointing.  Results are bit-identical
-    across schedules; ``steal_block`` tunes the permutations-per-block
-    granularity (default 256).  Neither knob enters the result-cache
-    key, for exactly that reason.
+    ``"auto"`` (default) steals on every multi-rank world — stored
+    permutations, checkpointed runs and cache extensions included.  A
+    one-rank world has no one to steal from and runs its permutations
+    as one block.  Results are bit-identical across schedules;
+    ``steal_block`` tunes the permutations-per-block granularity
+    (default 256).  Neither knob enters the result-cache key, for
+    exactly that reason.
 
     ``engine`` picks the array-module compute engine for the hot path
     (see :mod:`repro.accel`): ``"auto"`` (default) resolves to the best
@@ -293,8 +250,6 @@ def pmaxT(
         classlabel = X.labels
     resolved_cache = cache
     if resolved_cache is None and cache_dir is not None:
-        from .checkpoint import ResultCache
-
         resolved_cache = ResultCache(cache_dir)
     if resolved_cache is None and session is not None:
         resolved_cache = session.cache
@@ -349,8 +304,6 @@ def _dataset_fp_for(X, classlabel) -> str:
     labels reuses the fingerprint computed once at publish time; any
     other combination hashes the underlying bytes.
     """
-    from .checkpoint import dataset_fingerprint
-
     handle = X if isinstance(X, PublishedDataset) else None
     if handle is not None and classlabel is handle.labels:
         return handle.fingerprint
@@ -403,8 +356,6 @@ def lookup_cached(
     the counters alone — route those through :func:`pmaxT`, which also
     handles the incremental extension.
     """
-    from .checkpoint import result_cache_key
-
     if isinstance(X, PublishedDataset) and classlabel is None:
         classlabel = X.labels
     if X is None or classlabel is None:
@@ -429,14 +380,11 @@ def lookup_cached(
 def _pmaxt_cached(cache, X, classlabel, *, backend, ranks, session,
                   **run_kwargs) -> MaxTResult:
     """Cache orchestration: hit -> rebuild, partial -> extend, miss -> run."""
-    from .checkpoint import result_cache_key
-
     if X is None or classlabel is None:
         raise DataError("the master rank must supply X and classlabel")
     options = _validated_options(classlabel, run_kwargs)
     key = result_cache_key(_dataset_fp_for(X, classlabel), options)
     row_names = run_kwargs["row_names"]
-    launch = dict(backend=backend, ranks=ranks, session=session)
 
     entry = cache.lookup(key, options.nperm)
     if entry is not None and entry.nperm == options.nperm:
@@ -445,44 +393,24 @@ def _pmaxt_cached(cache, X, classlabel, *, backend, ranks, session,
             entry.teststat, entry.counts, options, row_names,
             nranks=int(entry.meta.get("nranks", 1)))
 
+    # Incremental-B extension: a smaller cached entry covers permutation
+    # indices [0, B_old) and becomes the ledger's prior, so only
+    # [B_old, B_new) is computed — the counter-based keystream makes the
+    # union bit-identical to a cold run at B_new.
+    prior = entry if entry is not None and not options.complete else None
+    if prior is None:
+        cache.misses += 1
+    result = _pmaxt_run(X, classlabel, backend=backend, ranks=ranks,
+                        session=session, prior=prior, **run_kwargs)
+    if prior is not None:
+        cache.extensions += 1
     meta = {
         "test": options.test, "side": options.side,
         "dtype": options.dtype, "seed": options.seed,
         "complete": options.complete,
         "n": int(np.asarray(classlabel).size),
+        "nranks": result.nranks, "m": result.m,
     }
-    if entry is not None and not options.complete:
-        # Incremental-B extension: the cached entry covers permutation
-        # indices [0, B_old); compute only [B_old, B_new) and sum — the
-        # counter-based keystream makes the union bit-identical to a
-        # cold run at B_new.
-        ext = _pmaxt_run(X, classlabel,
-                         perm_range=(entry.nperm, options.nperm),
-                         return_counts=True, **launch, **run_kwargs)
-        if not np.array_equal(ext.teststat, entry.teststat,
-                              equal_nan=True):
-            raise DataError(
-                "result-cache entry does not match this problem: the "
-                "observed statistics differ (stale or corrupted cache "
-                f"directory {cache.directory}); clear it and re-run")
-        combined = KernelCounts(
-            raw=entry.counts.raw + ext.counts.raw,
-            adjusted=entry.counts.adjusted + ext.counts.adjusted,
-            nperm=entry.counts.nperm + ext.counts.nperm,
-        )
-        cache.extensions += 1
-        meta["nranks"] = ext.nranks
-        meta["m"] = int(entry.teststat.size)
-        cache.save(key, options.nperm, entry.teststat, combined, meta)
-        result = _result_from_counts(entry.teststat, combined, options,
-                                     row_names, nranks=ext.nranks)
-        result.profile = ext.profile
-        return result
-
-    cache.misses += 1
-    result = _pmaxt_run(X, classlabel, **launch, **run_kwargs)
-    meta["nranks"] = result.nranks
-    meta["m"] = result.m
     cache.save(key, options.nperm, result.teststat, result.counts, meta)
     return result
 
@@ -525,58 +453,68 @@ def _published_rank_wire(options: MaxTOptions) -> bool:
             and not getattr(cls, "_rank_based", False))
 
 
-def _resident_workspace(stat, chunk_size: int, engine=None,
-                        engine_batch: int | None = None
-                        ) -> KernelWorkspace | None:
-    """This rank's session-resident kernel workspace, if one is available.
+def _rank_workspace(stat, chunk_size: int, engine=None,
+                    engine_batch: int | None = None) -> KernelWorkspace:
+    """This rank's kernel workspace, session-resident when possible.
 
     Under a persistent session each rank keeps one
     :class:`~repro.core.kernel.KernelWorkspace` warm across whole pmaxT
-    calls; outside a session there is no resident cache and the kernel
-    builds a private workspace per call.
+    calls; outside a session one workspace serves every block of the
+    call.  Counts are bit-identical either way.
     """
     cache = resident_cache()
-    if cache is None:
-        return None
-    workspace = cache.get("kernel_workspace")
+    workspace = None if cache is None else cache.get("kernel_workspace")
     if not (isinstance(workspace, KernelWorkspace)
             and workspace.compatible_with(stat, chunk_size, engine=engine,
                                           engine_batch=engine_batch)):
         workspace = KernelWorkspace.for_stat(stat, chunk_size, engine=engine,
                                              engine_batch=engine_batch)
-        cache["kernel_workspace"] = workspace
+        if cache is not None:
+            cache["kernel_workspace"] = workspace
     return workspace
 
 
-def _steal_kernel(comm, options: MaxTOptions, labels, stat, observed,
-                  range_start: int, range_stop: int,
-                  steal_spec: tuple) -> KernelCounts | None:
-    """Steps 4+5 under the work-stealing schedule.
+def _run_ledger(comm, options: MaxTOptions, labels, stat, observed,
+                plan: tuple, on_progress=None):
+    """Steps 4+5: run this rank's side of the block ledger.
 
-    Carves ``[range_start, range_stop)`` into blocks, runs the steal
-    protocol (:mod:`repro.core.steal`) and returns the world-total counts
-    on the master (``None`` on workers).  Block contributions are int64
-    count sums, so the dynamic assignment and out-of-order accumulation
-    are bit-identical to the static plan — the invariant the golden tests
-    pin across schedules and skew patterns.
+    ``plan`` is the Step-2 broadcast ``(covered, block_size, max_block,
+    tag)``; every rank derives the same blocks and initial runs from it
+    (:func:`~repro.core.partition.plan_ledger`).  Returns the counts of
+    the job's blocks on the master (``None`` if it had none) and ``None``
+    on workers.  Block contributions are int64 count sums, so any
+    assignment and any accumulation order are bit-identical to the
+    static plan — the invariant the golden tests pin across schedules
+    and skew patterns.
     """
     from ..mpi.blasctl import apply_elastic_cap, get_blas_threads, set_blas_threads
     from ..mpi.processes import ProcessComm
 
-    block_size, tag = steal_spec
-    blocks = carve_blocks(range_start, range_stop, block_size)
-    runs = plan_initial_runs(len(blocks), comm.size)
-    generator = build_generator(options, labels)
+    covered, block_size, max_block, tag = plan
+    blocks, runs = plan_ledger(options.nperm, comm.size, covered=covered,
+                               block_size=block_size, max_block=max_block)
     ops = _resolve_run_engine(options)
     engine_batch = options.engine_batch or None
-    workspace = _resident_workspace(stat, options.chunk_size, engine=ops,
-                                    engine_batch=engine_batch)
+    workspace = _rank_workspace(stat, options.chunk_size, engine=ops,
+                                engine_batch=engine_batch)
     delay = injected_delay(comm.rank)
+    if options.store:
+        # Stored mode: each block replays a materialised slice of the
+        # sequential stream, which only forwards across the gaps between
+        # this rank's blocks.
+        source = build_generator(replace(options, store=False), labels)
+    else:
+        generator = build_generator(options, labels)
 
     def compute_block(block):
+        if options.store:
+            gen, start = StoredPermutations(source, block.start,
+                                            block.count), 0
+        else:
+            gen, start = generator, block.start
         counts = run_kernel(
-            stat, generator, observed, options.side,
-            start=block.start, count=block.count,
+            stat, gen, observed, options.side,
+            start=start, count=block.count,
             chunk_size=options.chunk_size,
             first_is_observed=(block.start == 0),
             workspace=workspace,
@@ -617,14 +555,16 @@ def _steal_kernel(comm, options: MaxTOptions, labels, stat, observed,
 
     try:
         if comm.is_master:
+            # With no peers there is nothing to serve between sub-units:
+            # each block is one kernel call.
             acc, ledger, stats = run_steal_master(
                 comm, blocks, runs, compute_block, merge, tag=tag,
-                recap=recap, poll_unit=options.chunk_size)
-            # The coverage audit replacing the static path's reduced
-            # permutation accounting check.
-            ledger.assert_exact_cover(range_start, range_stop)
+                recap=recap,
+                poll_unit=options.chunk_size if comm.size > 1 else None,
+                covered=covered, on_progress=on_progress)
+            ledger.assert_exact_cover(0, options.nperm)
             on_stats = getattr(comm, "_on_steal_stats", None)
-            if on_stats is not None:
+            if block_size is not None and on_stats is not None:
                 on_stats(stats)
             return acc
         run_steal_worker(comm, blocks, runs[comm.rank], compute_block,
@@ -634,6 +574,71 @@ def _steal_kernel(comm, options: MaxTOptions, labels, stat, observed,
         if (elastic["touched"] and elastic["original"] is not None
                 and elastic["current"] != elastic["original"]):
             set_blas_threads(elastic["original"])
+
+
+def _master_plan(X, classlabel, options: MaxTOptions, world_size: int,
+                 schedule: str, steal_block: int | None,
+                 checkpoint_dir: str | None, checkpoint_interval: int,
+                 prior) -> tuple:
+    """Master-side Step 1 of the ledger: schedule, prior and checkpoint.
+
+    Returns ``(plan, prior_counts, expected_stats, on_progress, store)``:
+    the Step-2 plan every rank derives its blocks from, the counts of the
+    prior's covered ranges, the observed statistics a cached prefix must
+    match, the checkpoint hook, and the checkpoint store to clear on
+    success.  A checkpoint is keyed by the result-cache key plus
+    ``nperm``, never by the world, so it resumes at any rank count,
+    schedule or block size.
+    """
+    if schedule not in ("auto", "static", "steal"):
+        raise OptionError(
+            f"schedule must be 'auto', 'static' or 'steal', got {schedule!r}")
+    if steal_block is not None and int(steal_block) < 1:
+        raise OptionError(f"steal_block must be >= 1, got {steal_block}")
+    block_size = None
+    if schedule != "static" and world_size > 1:
+        block_size = int(steal_block) if steal_block is not None \
+            else DEFAULT_STEAL_BLOCK
+    covered: list[tuple[int, int]] = []
+    prior_counts: KernelCounts | None = None
+    expected = None
+    if prior is not None:
+        covered, prior_counts = [(0, prior.nperm)], prior.counts
+        expected = prior.teststat
+    store: CheckpointStore | None = None
+    hook: Callable[[KernelCounts, Any], None] | None = None
+    max_block: int | None = None
+    if checkpoint_dir is not None:
+        interval = int(checkpoint_interval)
+        if interval <= 0:
+            raise DataError(f"checkpoint interval must be positive, got "
+                            f"{checkpoint_interval}")
+        key = result_cache_key(_dataset_fp_for(X, classlabel), options)
+        store = ckpt = CheckpointStore(checkpoint_dir,
+                                       key=f"{key}-B{options.nperm}")
+        saved = ckpt.load()
+        if saved is not None and saved.counts.nperm > (
+                0 if prior_counts is None else prior_counts.nperm):
+            covered, prior_counts, expected = saved.covered, saved.counts, None
+        base, progress = prior_counts, {"saved": 0 if prior_counts is None
+                                        else prior_counts.nperm}
+
+        def save_progress(acc: KernelCounts, ledger) -> None:
+            # ``acc`` holds exactly the counts of the ledger's finished
+            # blocks; adding the prior makes the checkpoint cover
+            # ``ledger.covered()``.
+            covered_now = ledger.covered()
+            done = sum(b - a for a, b in covered_now)
+            if done - progress["saved"] >= interval:
+                ckpt.save(covered_now,
+                          acc if base is None else base.merged([acc]))
+                progress["saved"] = done
+
+        hook, max_block = save_progress, interval
+
+    tag = STEAL_TAG_BASE + next(_STEAL_EPOCH) % 0x100000
+    plan = (covered, block_size, max_block, tag)
+    return plan, prior_counts, expected, hook, store
 
 
 def _pmaxt_run(
@@ -660,12 +665,11 @@ def _pmaxt_run(
     row_names: list[str] | None = None,
     checkpoint_dir: str | None = None,
     checkpoint_interval: int = 2_048,
-    perm_range: tuple | None = None,
-    return_counts: bool = False,
+    prior=None,
     timeout: float | None = None,
     schedule: str = "auto",
     steal_block: int | None = None,
-) -> MaxTResult | _RangeCounts | None:
+) -> MaxTResult | None:
     """The SPMD algorithm (cache-free half of :func:`pmaxT`).
 
     The interface is identical to :func:`~repro.core.maxt.mt_maxT` — the
@@ -704,9 +708,15 @@ def _pmaxt_run(
     own pool and persists for that rank's lifetime.
 
     ``checkpoint_dir`` enables the fault-tolerance extension (paper
-    future-work item 1): each rank periodically persists its partial counts
-    and a re-run of the identical call resumes from the last checkpoint
-    instead of restarting its chunk — see :mod:`repro.core.checkpoint`.
+    future-work item 1): the master persists the ledger's covered ranges
+    and their summed counts at least every ``checkpoint_interval``
+    permutations, and a re-run of the same analysis resumes from them at
+    any rank count or schedule — see :mod:`repro.core.checkpoint`.
+
+    ``prior`` (the result cache's partial entry, master only) seeds the
+    ledger with its cached prefix ``[0, B_old)``: only the remaining
+    permutations are computed, after the observed statistics are checked
+    against the entry's.
 
     The output is **identical to the serial output** for any rank count:
     the permutation partition (Figure 2 of the paper) together with the
@@ -715,10 +725,11 @@ def _pmaxt_run(
     if backend is not None or ranks is not None or session is not None:
         from ..mpi.backends import launch_master
 
-        def _job(world_comm: Communicator) -> MaxTResult | _RangeCounts | None:
+        def _job(world_comm: Communicator) -> MaxTResult | None:
+            master = world_comm.is_master
             return _pmaxt_run(
-                X if world_comm.is_master else None,
-                classlabel if world_comm.is_master else None,
+                X if master else None,
+                classlabel if master else None,
                 test=test, side=side,
                 fixed_seed_sampling=fixed_seed_sampling, B=B, na=na,
                 nonpara=nonpara, comm=world_comm, seed=seed,
@@ -727,17 +738,14 @@ def _pmaxt_run(
                 row_names=row_names,
                 checkpoint_dir=checkpoint_dir,
                 checkpoint_interval=checkpoint_interval,
-                perm_range=perm_range, return_counts=return_counts,
+                prior=prior if master else None,
                 schedule=schedule, steal_block=steal_block,
             )
 
         # The worker-rank half for a persistent session (jobs cross a
-        # queue there, so the callable must be picklable): everything but
-        # the checkpoint knobs arrives via the Step 2/3 broadcasts.
-        worker = partial(_session_worker, checkpoint_dir=checkpoint_dir,
-                         checkpoint_interval=checkpoint_interval)
+        # queue there, so the callable must be picklable).
         return launch_master(backend, ranks, _job, comm=comm,
-                             session=session, worker_fn=worker,
+                             session=session, worker_fn=_session_worker,
                              caller="pmaxT", blas_threads=blas_threads,
                              timeout=timeout)
 
@@ -760,6 +768,7 @@ def _pmaxt_run(
     payload = None
     handle: PublishedDataset | None = None
     data = labels = route = None
+    prior_counts = expected = on_progress = store = None
     pre_ranked = False
     with timer.section("pre_processing"):
         if master:
@@ -799,24 +808,15 @@ def _pmaxt_run(
                     data, route = handle.resolve(
                         options.dtype,
                         options.na if options.dtype == "float32" else None)
-            steal_spec = _resolve_schedule(schedule, steal_block, options,
-                                           checkpoint_dir, comm.size)
-            payload = (_pack_options(options), route, perm_range,
-                       bool(return_counts), steal_spec, pre_ranked)
+            plan, prior_counts, expected, on_progress, store = _master_plan(
+                X, classlabel, options, comm.size, schedule, steal_block,
+                checkpoint_dir, checkpoint_interval, prior)
+            payload = (_pack_options(options), route, pre_ranked, plan)
 
     # -- Step 2: broadcast scalar parameters --------------------------------
     with timer.section("broadcast_parameters"):
-        packed, route, perm_range, return_counts, steal_spec, pre_ranked = \
-            comm.bcast(payload, root=0)
+        packed, route, pre_ranked, plan = comm.bcast(payload, root=0)
         options = _unpack_options(packed)
-        if perm_range is None:
-            perm_range = (0, options.nperm)
-        range_start, range_stop = int(perm_range[0]), int(perm_range[1])
-        if not 0 <= range_start < range_stop <= options.nperm:
-            raise DataError(
-                f"invalid permutation range {perm_range!r} for "
-                f"nperm={options.nperm}")
-        span = range_stop - range_start
 
     # -- Step 3: broadcast + transform the input data ------------------------
     with timer.section("create_data"):
@@ -859,133 +859,54 @@ def _pmaxt_run(
         if ready != comm.size:  # pragma: no cover - defensive
             raise DataError("not all ranks completed data creation")
 
-    # -- Step 4: local kernel over this rank's permutation chunk -------------
-    steal_totals: KernelCounts | None = None
+    # -- Step 4: this rank's blocks under the master's ledger ---------------
     with timer.section("main_kernel"):
         stat = build_statistic(options, data, labels, pre_ranked=pre_ranked)
         observed = compute_observed(stat, options.side)
-        if steal_spec is not None:
-            # Work-stealing schedule: the range is carved into blocks and
-            # dispatched dynamically (Steps 4 and 5 fuse — contributions
-            # ride the steal messages, so the static path's collective
-            # reductions below are skipped on every rank).
-            steal_totals = _steal_kernel(
-                comm, options, labels, stat, observed,
-                range_start, range_stop, steal_spec)
-        if steal_spec is None:
-            # Ranged runs (the cache's incremental-B extension) partition
-            # only the [range_start, range_stop) span; permutation i is
-            # the same pure function of (seed, i) either way, so a split
-            # run's counts sum to the cold run's bit-for-bit.
-            plan = partition_permutations(span, comm.size)
-            chunk = plan.chunk_for(comm.rank)
-            g_start = range_start + chunk.start
-            includes_observed = (g_start == 0 and chunk.count > 0)
-            if options.store:
-                # Stored mode materialises only this rank's slice; the
-                # stored generator replays with local indices, already
-                # "forwarded".
-                generator = build_generator(
-                    options, labels, store_slice=(g_start, chunk.count)
-                )
-                kernel_args = dict(start=0, count=chunk.count,
-                                   first_is_observed=includes_observed)
-            else:
-                generator = build_generator(options, labels)
-                kernel_args = dict(start=g_start, count=chunk.count,
-                                   first_is_observed=includes_observed)
-            ops = _resolve_run_engine(options)
-            run_engine_batch = options.engine_batch or None
-            if checkpoint_dir is None:
-                # Under a session, each rank owns a resident
-                # KernelWorkspace that survives across pmaxT calls: a warm
-                # call of the same problem shape reuses the previous
-                # call's buffers (counts are bit-identical with or without
-                # a workspace — pinned by tests).  The checkpoint driver
-                # below manages its own workspace, so nothing is parked in
-                # the cache on that path.
-                workspace = _resident_workspace(
-                    stat, options.chunk_size, engine=ops,
-                    engine_batch=run_engine_batch)
-                counts = run_kernel(
-                    stat, generator, observed, options.side,
-                    chunk_size=options.chunk_size, workspace=workspace,
-                    engine=ops, engine_batch=run_engine_batch,
-                    **kernel_args,
-                )
-            else:
-                from .checkpoint import (
-                    CheckpointStore,
-                    problem_fingerprint,
-                    run_kernel_resumable,
-                )
+        if master and expected is not None and not np.array_equal(
+                observed.stats, expected, equal_nan=True):
+            raise DataError(
+                "result-cache entry does not match this problem: the "
+                "observed statistics differ (stale or corrupted cache "
+                "directory); clear it and re-run")
+        # Steps 4 and 5 fuse: contributions ride the ledger's messages, so
+        # no collective reduction runs on any rank and a mid-job worker
+        # death cannot strand the survivors in Step 5.
+        job_counts = _run_ledger(comm, options, labels, stat, observed, plan,
+                                 on_progress=on_progress)
 
-                fingerprint = problem_fingerprint(
-                    data, labels, options, g_start, chunk.count)
-                store = CheckpointStore(checkpoint_dir, rank=comm.rank)
-                counts = run_kernel_resumable(
-                    stat, generator, observed, options.side,
-                    store=store, fingerprint=fingerprint,
-                    interval=checkpoint_interval,
-                    chunk_size=options.chunk_size,
-                    engine=ops, engine_batch=run_engine_batch,
-                    **kernel_args,
-                )
-                store.clear()
-            delay = injected_delay(comm.rank)
-            if delay > 0:
-                # Straggler-injection hook (tests/benchmarks): the static
-                # plan pays the whole chunk's delay on the throttled rank.
-                time.sleep(delay * chunk.count)
-
-    # -- Step 5: gather counts, compute p-values -----------------------------
-    result: MaxTResult | _RangeCounts | None = None
+    # -- Step 5: world totals plus the prior, p-values -----------------------
+    result: MaxTResult | None = None
     with timer.section("compute_pvalues"):
-        if steal_spec is not None:
-            # The master already holds the world totals (contributions
-            # rode the steal messages); no collective reductions run on
-            # any rank, so a mid-job worker death cannot strand the
-            # survivors in Step 5.
-            totals = steal_totals
-        else:
-            total_raw = comm.reduce_array(counts.raw, op=SUM, root=0)
-            total_adj = comm.reduce_array(counts.adjusted, op=SUM, root=0)
-            total_nperm = comm.reduce(counts.nperm, op=SUM, root=0)
-            if master:
-                totals = KernelCounts(
-                    raw=np.asarray(total_raw),
-                    adjusted=np.asarray(total_adj),
-                    nperm=int(total_nperm),
-                )
         if master:
-            if totals.nperm != span:  # pragma: no cover - defensive
+            totals = job_counts if job_counts is not None \
+                else KernelCounts.zeros(observed.m)
+            if prior_counts is not None:
+                totals = prior_counts.merged([totals])
+            if totals.nperm != options.nperm:  # pragma: no cover - defensive
                 raise DataError(
                     f"permutation accounting error: executed "
-                    f"{totals.nperm}, expected {span}"
+                    f"{totals.nperm}, expected {options.nperm}"
                 )
-            if return_counts:
-                # The caller (the result cache) sums these with a prior
-                # run's counts; p-values are computed once at the end.
-                result = _RangeCounts(teststat=observed.stats, counts=totals,
-                                      nranks=comm.size)
-            else:
-                rawp, adjp = pvalues_from_counts(
-                    totals.raw, totals.adjusted, observed.order,
-                    options.nperm, untestable=observed.untestable,
-                )
-                result = MaxTResult(
-                    teststat=observed.stats,
-                    rawp=rawp,
-                    adjp=adjp,
-                    order=observed.order,
-                    nperm=options.nperm,
-                    test=options.test,
-                    side=options.side,
-                    complete=options.complete,
-                    nranks=comm.size,
-                    row_names=row_names,
-                    counts=totals,
-                )
+            if store is not None:
+                store.clear()
+            rawp, adjp = pvalues_from_counts(
+                totals.raw, totals.adjusted, observed.order,
+                options.nperm, untestable=observed.untestable,
+            )
+            result = MaxTResult(
+                teststat=observed.stats,
+                rawp=rawp,
+                adjp=adjp,
+                order=observed.order,
+                nperm=options.nperm,
+                test=options.test,
+                side=options.side,
+                complete=options.complete,
+                nranks=comm.size,
+                row_names=row_names,
+                counts=totals,
+            )
 
     # -- Step 6: free memory (implicit) + attach the profile -----------------
     if result is not None:

@@ -1,13 +1,18 @@
-"""Deterministic work-stealing scheduler for block-granular permutation dispatch.
+"""The block ledger: the only Step-4/5 path of ``pmaxT``.
 
-The paper's Figure-2 partitioning is static: each rank receives one
-contiguous permutation range up front, so a single slow rank sets the job's
-wall-clock.  This module replaces the assignment — not the arithmetic — with
-a block-granular scheme: the master carves ``[range_start, range_stop)``
-into fixed-size :class:`~repro.core.partition.Block`\\ s, every rank starts
-on a short deterministic initial run (:func:`plan_initial_runs`), and
-finished ranks request further blocks from the master over the existing
-point-to-point control plane, so they steal load from stragglers.
+Every run — static or stealing, one rank or many, checkpointed, extending
+a cached result, replaying stored permutations — executes as a set of
+permutation :class:`~repro.core.partition.Block`\\ s that the master
+tracks in a :class:`BlockLedger`.  A job is the blocks, each rank's
+deterministic initial run of blocks (:func:`~repro.core.partition.plan_ledger`),
+a steal pool holding the rest, and a *prior*: the permutation ranges
+already covered before the job started (a checkpoint, a cached prefix)
+with their summed counts.
+
+* The paper's static Figure-2 partition is the degenerate assignment:
+  one block per rank and an empty pool.
+* The steal schedule carves fixed-size blocks and keeps most of them in
+  the pool, so finished ranks take load off stragglers.
 
 Determinism is preserved by construction rather than by locking:
 
@@ -18,16 +23,22 @@ Determinism is preserved by construction rather than by locking:
   is exactly associative and commutative, so *any* block-to-rank assignment
   and *any* accumulation order reproduce the static plan bit for bit.
 
-The protocol is three message types on a per-job tag:
+The protocol is four message types on a per-job tag:
 
+* worker → master ``("done", finished_bids, contribution)`` — report a
+  block of the initial run (no reply), so its counts reach the master
+  (and its checkpoint) before the run ends;
 * worker → master ``("req", finished_bids, contribution)`` — report the
   blocks just completed (with their merged counts) and ask for more;
 * master → worker ``("grant", bid, nactive)`` — compute block ``bid``;
 * master → worker ``("stop", nactive)`` — the pool is drained, exit.
 
-``nactive`` rides along so the tail of the job can widen the survivors'
-BLAS caps (:func:`repro.mpi.blasctl.apply_elastic_cap`): once the queue
-drains and ranks go idle, the remaining busy ranks may use the whole host.
+Contributions ride these messages, so Step 5 needs no collective
+reduction: when the ledger is complete the master already holds the world
+totals.  ``nactive`` rides along so the tail of the job can widen the
+survivors' BLAS caps (:func:`repro.mpi.blasctl.apply_elastic_cap`): once
+the queue drains and ranks go idle, the remaining busy ranks may use the
+whole host.
 
 Fault granularity: when a worker dies mid-job the session's health watcher
 raises :class:`~repro.errors.WorkerDeadError` inside the master's blocking
@@ -104,12 +115,15 @@ class BlockLedger:
 
     The ledger is the determinism *audit*: the arithmetic is correct for
     any assignment, so the only thing that can go wrong is coverage — a
-    block computed twice or not at all.  :meth:`assert_exact_cover`
-    replaces the static path's ``total_nperm != span`` accounting check.
+    block computed twice or not at all.  ``covered`` is the job's prior:
+    permutation ranges finished before the job started (a checkpoint, a
+    cached prefix).  :meth:`assert_exact_cover` proves that the prior plus
+    the blocks tile the whole permutation range exactly once.
     """
 
-    def __init__(self, blocks: Sequence[Block]):
+    def __init__(self, blocks: Sequence[Block], covered=()):
         self._blocks = tuple(blocks)
+        self._prior = tuple((int(a), int(b)) for a, b in covered)
         self._granted: dict[int, int] = {}
         self._done: dict[int, int] = {}
 
@@ -142,8 +156,21 @@ class BlockLedger:
     def complete(self) -> bool:
         return not self._granted and len(self._done) == len(self._blocks)
 
+    def covered(self) -> list[tuple[int, int]]:
+        """The prior plus every finished block, as merged ``(start, stop)``."""
+        spans = sorted([*self._prior, *((self._blocks[bid].start,
+                                         self._blocks[bid].stop)
+                                        for bid in self._done)])
+        merged: list[tuple[int, int]] = []
+        for a, b in spans:
+            if merged and merged[-1][1] == a:
+                merged[-1] = (merged[-1][0], b)
+            else:
+                merged.append((a, b))
+        return merged
+
     def assert_exact_cover(self, start: int, stop: int) -> None:
-        """Every block done exactly once and the blocks tile ``[start, stop)``."""
+        """Every block done once; prior plus blocks tile ``[start, stop)``."""
         if self._granted:
             raise PermutationError(
                 f"steal ledger has {len(self._granted)} blocks still in "
@@ -155,15 +182,16 @@ class BlockLedger:
                 f"steal ledger is missing blocks {missing} at job end"
             )
         at = start
-        for block in self._blocks:
-            if block.start != at:
+        for a, b in sorted([*self._prior,
+                            *((blk.start, blk.stop) for blk in self._blocks)]):
+            if a != at:
                 raise PermutationError(
-                    f"block {block.bid} starts at {block.start}, expected {at}"
+                    f"ledger range [{a}, {b}) starts at {a}, expected {at}"
                 )
-            at = block.stop
+            at = b
         if at != stop:
             raise PermutationError(
-                f"blocks cover [{start}, {at}), expected [{start}, {stop})"
+                f"ledger covers [{start}, {at}), expected [{start}, {stop})"
             )
 
 
@@ -177,8 +205,10 @@ def run_steal_master(
     tag: int,
     recap: Callable[[int], None] | None = None,
     poll_unit: int | None = None,
+    covered=(),
+    on_progress: Callable[[Any, BlockLedger], None] | None = None,
 ) -> tuple[Any, BlockLedger, dict[str, int]]:
-    """Rank 0's side of the steal protocol.
+    """Rank 0's side of the ledger protocol.
 
     Serves block requests, computes its own initial run and — between
     requests — pool blocks, handles worker deaths when the communicator
@@ -186,6 +216,11 @@ def run_steal_master(
     accumulator folds contributions with ``merge(acc, contribution)``
     (``acc`` starts as ``None``); associativity of the underlying counts
     makes the fold order irrelevant to the bits of the result.
+
+    ``covered`` is the job's prior (ranges finished before the job; their
+    counts stay with the caller).  ``on_progress(acc, ledger)`` runs after
+    every merge that finishes blocks, when ``acc`` holds exactly the
+    counts of the ledger's finished blocks — the checkpoint hook.
 
     ``poll_unit`` bounds how long a straggler can wait for a refill
     while rank 0 is computing: the master's own blocks are computed in
@@ -195,7 +230,7 @@ def run_steal_master(
     indices exactly, so the contribution (an associative int64 count
     sum) is bit-identical to the whole-block compute.
     """
-    ledger = BlockLedger(blocks)
+    ledger = BlockLedger(blocks, covered)
     my_blocks: deque[int] = deque(runs[0])
     taken = {bid for run in runs for bid in run}
     pool: deque[int] = deque(b.bid for b in blocks if b.bid not in taken)
@@ -215,16 +250,23 @@ def run_steal_master(
     def nactive() -> int:
         return len(active) + (1 if my_blocks or pool else 0)
 
-    def handle_request(src: int, payload: Any) -> None:
+    def finish(rank: int, bids: Sequence[int], contribution: Any) -> None:
         nonlocal acc
+        ledger.mark_done(rank, bids)
+        if contribution is not None:
+            acc = merge(acc, contribution)
+        if bids and on_progress is not None:
+            on_progress(acc, ledger)
+
+    def handle_request(src: int, payload: Any) -> None:
         if src in dead or src not in active:
             return  # a frame that outlived its sender; its blocks requeue
         kind, finished, contribution = payload
-        if kind != "req":  # pragma: no cover - protocol invariant
+        if kind not in ("req", "done"):  # pragma: no cover - protocol invariant
             raise PermutationError(f"unexpected steal message {kind!r}")
-        ledger.mark_done(src, finished)
-        if contribution is not None:
-            acc = merge(acc, contribution)
+        finish(src, finished, contribution)
+        if kind == "done":
+            return
         if pool:
             bid = pool.popleft()
             ledger.grant(bid, src)
@@ -233,6 +275,15 @@ def run_steal_master(
         else:
             active.discard(src)
             comm.send(("stop", nactive()), src, tag)
+
+    def serve_pending() -> None:
+        # Only peers send on the tag; a world without active peers (one
+        # rank, or every worker stopped) has nothing to poll for.
+        while active:
+            pending = comm.poll_any(tag)
+            if pending is None:
+                return
+            handle_request(*pending)
 
     def handle_death(rank: int) -> None:
         requeued = ledger.requeue_rank(rank)
@@ -243,11 +294,7 @@ def run_steal_master(
         stats["blocks_requeued"] += len(requeued)
 
     while True:
-        while True:
-            pending = comm.poll_any(tag)
-            if pending is None:
-                break
-            handle_request(*pending)
+        serve_pending()
         if my_blocks:
             bid = my_blocks.popleft()
         elif pool:
@@ -271,24 +318,21 @@ def run_steal_master(
             recap(nactive())
         block = blocks[bid]
         if poll_unit is None or poll_unit >= block.count:
-            acc = merge(acc, compute_block(block))
-        else:
-            # Sub-block service units: drain pending steal requests
-            # between units so a large steal_block on the master cannot
-            # delay a straggler's refill by a whole block's compute.
-            at = block.start
-            while at < block.stop:
-                count = min(poll_unit, block.stop - at)
-                acc = merge(acc, compute_block(
-                    Block(bid=block.bid, start=at, count=count)))
-                at += count
-                if at < block.stop:
-                    while True:
-                        pending = comm.poll_any(tag)
-                        if pending is None:
-                            break
-                        handle_request(*pending)
-        ledger.mark_done(0, [bid])
+            finish(0, [bid], compute_block(block))
+            continue
+        # Sub-block service units: drain pending steal requests between
+        # units so a large block on the master cannot delay a straggler's
+        # refill by a whole block's compute.
+        part: Any = None
+        at = block.start
+        while at < block.stop:
+            count = min(poll_unit, block.stop - at)
+            part = merge(part, compute_block(
+                Block(bid=block.bid, start=at, count=count)))
+            at += count
+            if at < block.stop:
+                serve_pending()
+        finish(0, [bid], part)
     return acc, ledger, stats
 
 
@@ -302,20 +346,22 @@ def run_steal_worker(
     tag: int,
     recap: Callable[[int], None] | None = None,
 ) -> None:
-    """A worker rank's side of the steal protocol.
+    """A worker rank's side of the ledger protocol.
 
-    Computes the deterministic initial ``run`` without talking to the
-    master, then loops request → grant/stop.  Contributions are merged
-    locally and shipped with the next request, so the master receives one
-    payload per round-trip rather than one per block.  After every send the
-    local accumulator is abandoned, never mutated — required for the
-    threads backend, where ``send`` passes objects by reference.
+    Computes the deterministic initial ``run`` without waiting on the
+    master — every block but the last is reported as it finishes
+    (``"done"``), the last rides the first request — then loops
+    request → grant/stop.  After every send the local contribution is
+    abandoned, never mutated — required for the threads backend, where
+    ``send`` passes objects by reference.
     """
     acc: Any = None
     finished: list[int] = []
     for bid in run:
-        acc = merge(acc, compute_block(blocks[bid]))
-        finished.append(bid)
+        if finished:
+            comm.send(("done", finished, acc), 0, tag)
+        acc = merge(None, compute_block(blocks[bid]))
+        finished = [bid]
     while True:
         comm.send(("req", finished, acc), 0, tag)
         acc = None

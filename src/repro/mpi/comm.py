@@ -112,11 +112,11 @@ class Communicator(ABC):
     def recv_any(self, tag: int = 0) -> tuple[int, Any]:
         """Blocking receive from *any* source; returns ``(source, obj)``.
 
-        The ``MPI_ANY_SOURCE`` analogue the work-stealing master needs: it
-        cannot know which rank's block request arrives next.  Backends that
-        route point-to-point traffic through per-rank mailboxes implement
-        this; worlds without a steal control plane may leave the default,
-        which refuses rather than silently misbehaving.
+        The ``MPI_ANY_SOURCE`` analogue the block-ledger master needs: it
+        cannot know which rank's block report arrives next.  Every
+        multi-rank ``pmaxT`` world runs its Steps 4–5 over the ledger, so
+        multi-rank worlds must implement this; one-rank worlds never call
+        it, and the default refuses rather than silently misbehaving.
         """
         from ..errors import CommunicatorError
 
@@ -127,8 +127,9 @@ class Communicator(ABC):
     def poll_any(self, tag: int = 0) -> tuple[int, Any] | None:
         """Non-blocking :meth:`recv_any`; ``None`` when nothing is pending.
 
-        Lets the steal master interleave serving block requests with
+        Lets the ledger master interleave serving block requests with
         computing its own blocks instead of parking in a blocking receive.
+        Required for multi-rank ``pmaxT`` worlds, like :meth:`recv_any`.
         """
         from ..errors import CommunicatorError
 

@@ -11,8 +11,8 @@ implementations described in Section 3.1.
 :class:`StoredPermutations` wraps any source generator, materialises a chosen
 index range ``[start, start + count)`` into a matrix, and then replays it as
 a :class:`~repro.permute.base.PermutationGenerator`.  In the parallel setting
-each rank stores only its own chunk — the memory cost is ``count / P`` rows
-per rank, matching the C implementation's behaviour.
+each rank stores only the block it is computing, slicing its own copy of the
+stream; the stream forwards only across the gaps between that rank's blocks.
 """
 
 from __future__ import annotations
@@ -81,8 +81,11 @@ class StoredPermutations(PermutationGenerator):
             self.start = start
             return
         self.start = int(start)
-        source.reset()
-        source.skip(start)
+        # Forward only across the gap from the source's current position,
+        # so consecutive slices of one stream never replay it from 0.
+        if source.position > start:
+            source.reset()
+        source.skip(start - source.position)
         self._matrix = source.take_batch(count)
         self._matrix.flags.writeable = False
 

@@ -163,16 +163,35 @@ class TestOptionPlumbing:
             validate_options(labels, engine_batch=-1)
 
     def test_engine_never_enters_cache_or_checkpoint_keys(
-            self, small_two_class):
-        from repro.core.checkpoint import problem_fingerprint, result_cache_key
+            self, small_two_class, tmp_path, monkeypatch):
+        from repro.core import pmaxt as pmaxt_module
+        from repro.core.checkpoint import result_cache_key
 
         X, labels, _ = small_two_class
         plain = validate_options(labels, B=200)
         tuned = validate_options(labels, B=200, engine="numpy",
                                  engine_batch=2048)
         assert result_cache_key("fp", plain) == result_cache_key("fp", tuned)
-        assert problem_fingerprint(X, labels, plain, 0, 200) == \
-            problem_fingerprint(X, labels, tuned, 0, 200)
+        # Checkpoints are keyed by the cache key plus nperm: progress
+        # saved under one engine resumes under another.
+        real, calls = pmaxt_module.run_kernel, []
+
+        def crash_on_third(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise RuntimeError("injected failure")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pmaxt_module, "run_kernel", crash_on_third)
+        with pytest.raises(RuntimeError, match="injected"):
+            pmaxT(X, labels, B=200, engine="numpy", engine_batch=2048,
+                  checkpoint_dir=str(tmp_path), checkpoint_interval=50)
+        monkeypatch.setattr(pmaxt_module, "run_kernel", real)
+        assert (tmp_path / "ledger.npz").exists()
+        resumed = pmaxT(X, labels, B=200, checkpoint_dir=str(tmp_path),
+                        checkpoint_interval=50)
+        np.testing.assert_array_equal(resumed.adjp,
+                                      pmaxT(X, labels, B=200).adjp)
 
     def test_cli_exposes_engine_flags(self):
         parser = build_parser()

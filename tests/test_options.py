@@ -113,12 +113,6 @@ class TestBuildGenerator:
         assert isinstance(gen, StoredPermutations)
         assert gen.nperm == 100
 
-    def test_store_slice(self):
-        labels = two_class_labels(10, 10)
-        o = validate_options(labels, B=100, fixed_seed_sampling="n")
-        gen = build_generator(o, labels, store_slice=(40, 10))
-        assert gen.nperm == 10 and gen.start == 40
-
     def test_complete_two_sample(self):
         labels = two_class_labels(4, 4)
         o = validate_options(labels, B=0)

@@ -6,10 +6,10 @@ The tentpole guarantees pinned here:
   on every backend, under any induced skew (throttled master, throttled
   worker) and any block size — the schedule decides who computes each
   block, never what is computed;
-* ``schedule="auto"`` engages stealing whenever the run supports it and
-  falls back to the static plan (not an error) when it does not; explicit
-  ``schedule="steal"`` in an unsupported run is an
-  :class:`~repro.errors.OptionError`;
+* ``schedule="auto"`` steals on every multi-rank world — stored
+  permutations and checkpointed runs included — and explicit
+  ``schedule="steal"`` works everywhere (a one-rank world runs one
+  block);
 * the master's :class:`~repro.core.steal.BlockLedger` proves exact cover
   — every permutation block computed exactly once;
 * a worker SIGKILLed mid-steal costs the job nothing: the master requeues
@@ -28,8 +28,8 @@ import time
 import numpy as np
 import pytest
 
-from repro import pmaxT
-from repro.core.partition import Block, carve_blocks, plan_initial_runs
+from repro import mt_maxT, pmaxT
+from repro.core.partition import Block, carve_blocks, plan_initial_runs, plan_ledger
 from repro.core.steal import (
     DEFAULT_STEAL_BLOCK,
     BlockLedger,
@@ -116,6 +116,41 @@ class TestInitialRuns:
 
 
 # -- ledger -----------------------------------------------------------------
+
+
+class TestPlanLedger:
+    @staticmethod
+    def _spans(blocks):
+        return [(b.start, b.count) for b in blocks]
+
+    def test_static_is_the_figure2_plan(self):
+        blocks, runs = plan_ledger(23, 3)
+        assert self._spans(blocks) == [(0, 8), (8, 8), (16, 7)]
+        assert runs == (range(0, 1), range(1, 2), range(2, 3))
+
+    def test_static_shares_skip_covered_ranges(self):
+        # 13 pending permutations around [5, 15): shares of 5, 4 and 4.
+        blocks, runs = plan_ledger(23, 3, covered=[(5, 15)])
+        assert self._spans(blocks) == [(0, 5), (15, 4), (19, 4)]
+        assert [len(r) for r in runs] == [1, 1, 1]
+
+    def test_static_share_crossing_a_gap_and_capped(self):
+        # Shares of 8: rank 0 takes [0, 4) and [8, 12), rank 1 [12, 20).
+        blocks, runs = plan_ledger(20, 2, covered=[(4, 8)], max_block=3)
+        assert self._spans(blocks) == [(0, 3), (3, 1), (8, 3), (11, 1),
+                                       (12, 3), (15, 3), (18, 2)]
+        assert runs == (range(0, 4), range(4, 7))
+
+    def test_steal_blocks_tile_the_gaps(self):
+        blocks, runs = plan_ledger(100, 2, covered=[(0, 30)], block_size=25,
+                                   max_block=20)
+        assert self._spans(blocks) == [(30, 20), (50, 20), (70, 20),
+                                       (90, 10)]
+        assert runs == plan_initial_runs(4, 2)
+
+    def test_fully_covered_job_has_no_blocks(self):
+        assert plan_ledger(10, 3, covered=[(0, 10)]) == (
+            (), (range(0), range(0), range(0)))
 
 
 def _blocks(n, size=10):
@@ -416,36 +451,49 @@ class TestScheduleResolution:
         with pytest.raises(OptionError, match="steal_block"):
             pmaxT(X, y, B=100, backend="threads", ranks=2, steal_block=0)
 
-    def test_explicit_steal_needs_ranks(self, dataset):
+    def test_steal_on_one_rank_works(self, dataset):
         X, y = dataset
-        with pytest.raises(OptionError, match="one-rank"):
-            pmaxT(X, y, B=100, schedule="steal")
+        _same(pmaxT(X, y, B=100, schedule="steal"), pmaxT(X, y, B=100))
 
-    def test_explicit_steal_rejects_stored_mode(self, dataset):
+    @pytest.mark.parametrize("delay", [None, "1:0.002"])
+    def test_steal_with_stored_mode_matches_serial(self, dataset,
+                                                   monkeypatch, delay):
+        """Stored permutations replay per block: same bits as serial."""
         X, y = dataset
-        with pytest.raises(OptionError, match="stored"):
-            pmaxT(X, y, B=100, backend="threads", ranks=2,
-                  fixed_seed_sampling="n", schedule="steal")
+        serial = mt_maxT(X, y, B=300, fixed_seed_sampling="n")
+        if delay is not None:
+            monkeypatch.setenv("REPRO_STEAL_TEST_DELAY", delay)
+        steal = pmaxT(X, y, B=300, backend="threads", ranks=3,
+                      fixed_seed_sampling="n", schedule="steal",
+                      steal_block=40)
+        _same(steal, serial)
 
-    def test_explicit_steal_rejects_checkpointing(self, dataset, tmp_path):
+    def test_steal_with_checkpointing_works(self, dataset, tmp_path):
         X, y = dataset
-        with pytest.raises(OptionError, match="checkpoint"):
-            pmaxT(X, y, B=100, backend="threads", ranks=2,
-                  schedule="steal", checkpoint_dir=str(tmp_path))
+        steal = pmaxT(X, y, B=300, backend="threads", ranks=2,
+                      schedule="steal", steal_block=40,
+                      checkpoint_dir=str(tmp_path), checkpoint_interval=60)
+        _same(steal, pmaxT(X, y, B=300))
 
-    def test_auto_falls_back_to_static(self, dataset, tmp_path):
-        """auto silently uses the static plan where stealing can't run."""
+    def test_auto_steals_for_stored_and_checkpointed_runs(self, dataset,
+                                                          tmp_path):
         X, y = dataset
-        # Stored mode samples per rank-chunk, so compare auto against an
-        # explicit static run of the same world — not against serial.
-        stored_auto = pmaxT(X, y, B=200, backend="threads", ranks=2,
-                            fixed_seed_sampling="n")
-        stored_static = pmaxT(X, y, B=200, backend="threads", ranks=2,
-                              fixed_seed_sampling="n", schedule="static")
-        _same(stored_auto, stored_static)
-        ckpt = pmaxT(X, y, B=200, backend="threads", ranks=2,
-                     checkpoint_dir=str(tmp_path))
-        _same(ckpt, pmaxT(X, y, B=200))
+        with open_session("shm", 2) as ses:
+            stored = pmaxT(X, y, B=600, session=ses,
+                           fixed_seed_sampling="n")
+            assert ses.stats()["steal_jobs"] == 1
+            ckpt = pmaxT(X, y, B=600, session=ses,
+                         checkpoint_dir=str(tmp_path))
+            before = ses.stats()
+            assert before["steal_jobs"] == 2
+            # The static plan is the degenerate ledger: no steal job.
+            static = pmaxT(X, y, B=600, session=ses, schedule="static")
+            stats = ses.stats()
+        assert stats["steal_jobs"] == 2
+        assert stats["blocks_stolen"] == before["blocks_stolen"]
+        _same(stored, mt_maxT(X, y, B=600, fixed_seed_sampling="n"))
+        _same(ckpt, pmaxT(X, y, B=600))
+        _same(static, ckpt)
 
     def test_auto_engages_on_session(self, dataset):
         X, y = dataset

@@ -75,6 +75,29 @@ class TestShouldStore:
 
 
 class TestStoredPermutations:
+    def test_consecutive_slices_forward_across_gaps(self, monkeypatch):
+        """A rank's blocks slice one stream without replaying it from 0."""
+        labels = two_class_labels(4, 4)
+        full = StoredPermutations(
+            RandomLabelShuffle(labels, 60, seed=6, fixed_seed=False)).matrix
+        source = RandomLabelShuffle(labels, 60, seed=6, fixed_seed=False)
+        resets = []
+        monkeypatch.setattr(source, "reset", lambda: resets.append(1))
+        for start, count in ((0, 7), (7, 5), (20, 10), (45, 15)):
+            block = StoredPermutations(source, start=start, count=count)
+            np.testing.assert_array_equal(block.matrix,
+                                          full[start:start + count])
+        assert resets == []
+
+    def test_slice_behind_the_stream_rewinds(self):
+        labels = two_class_labels(4, 4)
+        full = StoredPermutations(
+            RandomLabelShuffle(labels, 30, seed=6, fixed_seed=False)).matrix
+        source = RandomLabelShuffle(labels, 30, seed=6, fixed_seed=False)
+        StoredPermutations(source, start=10, count=10)
+        again = StoredPermutations(source, start=3, count=4)
+        np.testing.assert_array_equal(again.matrix, full[3:7])
+
     def test_full_slice_replays_source(self):
         labels = two_class_labels(4, 4)
         source = RandomLabelShuffle(labels, 12, seed=6, fixed_seed=False)
