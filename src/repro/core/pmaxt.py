@@ -487,9 +487,6 @@ def _run_ledger(comm, options: MaxTOptions, labels, stat, observed,
     static plan — the invariant the golden tests pin across schedules
     and skew patterns.
     """
-    from ..mpi.blasctl import apply_elastic_cap, get_blas_threads, set_blas_threads
-    from ..mpi.processes import ProcessComm
-
     covered, block_size, max_block, tag = plan
     blocks, runs = plan_ledger(options.nperm, comm.size, covered=covered,
                                block_size=block_size, max_block=max_block)
@@ -536,44 +533,21 @@ def _run_ledger(comm, options: MaxTOptions, labels, stat, observed,
         acc += contribution
         return acc
 
-    # Elastic BLAS re-caps: grants/stops carry a freshly snapshotted
-    # number of still-busy ranks, and each process-world rank re-caps its
-    # pool to match — widening as peers go idle (the tail of a skewed job
-    # uses the whole host), narrowing back down to its starting cap when
-    # a later snapshot reports more busy ranks again (a death requeue
-    # refilling the pool).  In-process worlds share one BLAS pool, so
-    # they skip this.
-    recap = None
-    elastic: dict = {"current": None, "touched": False, "original": None}
-    if isinstance(comm, ProcessComm):
-        def recap(nactive: int) -> None:
-            if not elastic["touched"]:
-                elastic["touched"] = True
-                elastic["original"] = elastic["current"] = get_blas_threads()
-            elastic["current"] = apply_elastic_cap(
-                nactive, elastic["current"], floor=elastic["original"])
-
-    try:
-        if comm.is_master:
-            # With no peers there is nothing to serve between sub-units:
-            # each block is one kernel call.
-            acc, ledger, stats = run_steal_master(
-                comm, blocks, runs, compute_block, merge, tag=tag,
-                recap=recap,
-                poll_unit=options.chunk_size if comm.size > 1 else None,
-                covered=covered, on_progress=on_progress)
-            ledger.assert_exact_cover(0, options.nperm)
-            on_stats = getattr(comm, "_on_steal_stats", None)
-            if block_size is not None and on_stats is not None:
-                on_stats(stats)
-            return acc
-        run_steal_worker(comm, blocks, runs[comm.rank], compute_block,
-                         merge, tag=tag, recap=recap)
-        return None
-    finally:
-        if (elastic["touched"] and elastic["original"] is not None
-                and elastic["current"] != elastic["original"]):
-            set_blas_threads(elastic["original"])
+    if comm.is_master:
+        # With no peers there is nothing to serve between sub-units:
+        # each block is one kernel call.
+        acc, ledger, stats = run_steal_master(
+            comm, blocks, runs, compute_block, merge, tag=tag,
+            poll_unit=options.chunk_size if comm.size > 1 else None,
+            covered=covered, on_progress=on_progress)
+        ledger.assert_exact_cover(0, options.nperm)
+        on_stats = getattr(comm, "_on_steal_stats", None)
+        if block_size is not None and on_stats is not None:
+            on_stats(stats)
+        return acc
+    run_steal_worker(comm, blocks, runs[comm.rank], compute_block,
+                     merge, tag=tag)
+    return None
 
 
 def _master_plan(X, classlabel, options: MaxTOptions, world_size: int,

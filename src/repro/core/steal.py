@@ -30,15 +30,14 @@ The protocol is four message types on a per-job tag:
   (and its checkpoint) before the run ends;
 * worker → master ``("req", finished_bids, contribution)`` — report the
   blocks just completed (with their merged counts) and ask for more;
-* master → worker ``("grant", bid, nactive)`` — compute block ``bid``;
-* master → worker ``("stop", nactive)`` — the pool is drained, exit.
+* master → worker ``("grant", bid)`` — compute block ``bid``;
+* master → worker ``("stop",)`` — the pool is drained, exit.
 
 Contributions ride these messages, so Step 5 needs no collective
 reduction: when the ledger is complete the master already holds the world
-totals.  ``nactive`` rides along so the tail of the job can widen the
-survivors' BLAS caps (:func:`repro.mpi.blasctl.apply_elastic_cap`): once
-the queue drains and ranks go idle, the remaining busy ranks may use the
-whole host.
+totals.  The schedule never touches a rank's BLAS pool: every rank keeps
+the cap its world's bootstrap set (:func:`repro.mpi.blasctl.apply_worker_cap`)
+for the whole job, idle peers or not.
 
 Fault granularity: when a worker dies mid-job the session's health watcher
 raises :class:`~repro.errors.WorkerDeadError` inside the master's blocking
@@ -203,7 +202,6 @@ def run_steal_master(
     merge: Callable[[Any, Any], Any],
     *,
     tag: int,
-    recap: Callable[[int], None] | None = None,
     poll_unit: int | None = None,
     covered=(),
     on_progress: Callable[[Any, BlockLedger], None] | None = None,
@@ -247,9 +245,6 @@ def run_steal_master(
         "blocks_requeued": 0,
     }
 
-    def nactive() -> int:
-        return len(active) + (1 if my_blocks or pool else 0)
-
     def finish(rank: int, bids: Sequence[int], contribution: Any) -> None:
         nonlocal acc
         ledger.mark_done(rank, bids)
@@ -271,10 +266,10 @@ def run_steal_master(
             bid = pool.popleft()
             ledger.grant(bid, src)
             stats["blocks_stolen"] += 1
-            comm.send(("grant", bid, nactive()), src, tag)
+            comm.send(("grant", bid), src, tag)
         else:
             active.discard(src)
-            comm.send(("stop", nactive()), src, tag)
+            comm.send(("stop",), src, tag)
 
     def serve_pending() -> None:
         # Only peers send on the tag; a world without active peers (one
@@ -314,8 +309,6 @@ def run_steal_master(
             continue
         else:
             break
-        if recap is not None:
-            recap(nactive())
         block = blocks[bid]
         if poll_unit is None or poll_unit >= block.count:
             finish(0, [bid], compute_block(block))
@@ -344,7 +337,6 @@ def run_steal_worker(
     merge: Callable[[Any, Any], Any],
     *,
     tag: int,
-    recap: Callable[[int], None] | None = None,
 ) -> None:
     """A worker rank's side of the ledger protocol.
 
@@ -369,8 +361,6 @@ def run_steal_worker(
         message = comm.recv(0, tag)
         if message[0] == "stop":
             return
-        _, bid, active = message
-        if recap is not None:
-            recap(active)
+        _, bid = message
         acc = merge(acc, compute_block(blocks[bid]))
         finished = [bid]

@@ -22,6 +22,12 @@ Used by:
   rank to ``max(1, cores // ranks)`` threads;
 * :func:`repro.mpi.backends.launch_master`, which exposes an explicit
   ``blas_threads=`` override on ``pmaxT``/``pcor``/the CLI.
+
+A rank keeps that cap for its whole job.  The ledger scheduler
+(:mod:`repro.core.steal`) does not widen a rank's pool when its peers go
+idle.  On a 2-core host, widening the first rank to finish its share
+oversubscribed the CPUs while the other rank was still busy, and it made
+one-shot 2-rank calls about a third slower.
 """
 
 from __future__ import annotations
@@ -38,8 +44,6 @@ __all__ = [
     "set_blas_threads",
     "blas_thread_limit",
     "recommended_blas_threads",
-    "elastic_blas_cap",
-    "apply_elastic_cap",
     "apply_worker_cap",
     "worker_cap_override",
 ]
@@ -185,46 +189,6 @@ def recommended_blas_threads(ranks: int) -> int:
     raw count would reintroduce exactly the oversubscription this fixes.
     """
     return max(1, effective_cpu_count() // max(1, int(ranks)))
-
-
-def elastic_blas_cap(nactive: int, cores: int | None = None) -> int:
-    """The per-rank BLAS budget when only ``nactive`` ranks are still busy.
-
-    The work-stealing scheduler's tail: once the block queue drains, idle
-    ranks stop computing and the survivors may widen their pools to
-    ``cores // nactive`` without oversubscribing the host.  Monotone in
-    shrinking ``nactive`` — with one rank left the whole machine is its.
-    """
-    if cores is None:
-        cores = effective_cpu_count()
-    return max(1, int(cores) // max(1, int(nactive)))
-
-
-def apply_elastic_cap(nactive: int, current: int | None,
-                      floor: int | None = None) -> int | None:
-    """Re-cap this rank's BLAS pool for ``nactive`` still-busy ranks.
-
-    Returns the new cap if one was applied, else ``current``.  The cap
-    tracks the snapshot in *both* directions: it widens as peers go
-    idle, and narrows back when a fresh snapshot reports more busy
-    ranks again — a rank that steals after the pool refills (a death
-    requeue resurrects drained queues) must give back the host share it
-    borrowed, or the survivors oversubscribe the machine for the rest
-    of the job.  Every grant/stop message carries a freshly computed
-    ``nactive``, so the snapshot applied here is the most recent truth
-    this rank has seen.  ``floor`` (the rank's cap at job start) bounds
-    narrowing: the elastic logic never takes a rank below its
-    configured baseline.  The caller restores the original cap when its
-    job ends (a ``finally`` in the steal kernel).
-    """
-    cap = elastic_blas_cap(nactive)
-    if floor is not None:
-        cap = max(cap, int(floor))
-    if current is not None and cap == current:
-        return current
-    if set_blas_threads(cap) is None:
-        return current
-    return cap
 
 
 #: Environment override consulted by the worker bootstrap when no explicit

@@ -65,7 +65,7 @@ import numpy as np
 
 from ..errors import DataError
 from .session import resident_cache
-from .shm import _untrack
+from .shm import _unlink, _untrack
 
 __all__ = [
     "PublishedDataset",
@@ -95,21 +95,7 @@ def _unlink_segments(owner_pid: int, segments: list) -> None:
         except BufferError:  # a view still exports the buffer; OS reclaims
             pass
         if mine:
-            try:
-                # Re-register first: forked workers share this process's
-                # resource tracker, and their attach-then-_untrack cycle
-                # removes the name from its set — unlink()'s unregister
-                # would then make the tracker print a bogus KeyError.
-                # register() is an idempotent set-add, restoring balance.
-                from multiprocessing import resource_tracker
-
-                resource_tracker.register(segment._name, "shared_memory")
-            except Exception:  # pragma: no cover - interpreter internals
-                pass
-            try:
-                segment.unlink()
-            except FileNotFoundError:
-                pass
+            _unlink(segment)
     segments.clear()
 
 

@@ -71,6 +71,27 @@ def _untrack(segment: shared_memory.SharedMemory) -> None:
         pass
 
 
+def _unlink(segment: shared_memory.SharedMemory) -> None:
+    """Unlink a segment this process created, without tracker noise.
+
+    Forked ranks share their parent's resource tracker, and a peer's
+    attach-then-:func:`_untrack` cycle removes the name from the tracker's
+    set.  ``unlink()`` unregisters the name again, which would make the
+    tracker print a ``KeyError`` traceback.  Re-registering first restores
+    the balance: ``register`` is an idempotent set-add.
+    """
+    try:  # pragma: no cover - depends on interpreter internals
+        from multiprocessing import resource_tracker
+
+        resource_tracker.register(segment._name, "shared_memory")
+    except Exception:
+        pass
+    try:
+        segment.unlink()
+    except FileNotFoundError:
+        pass
+
+
 class ShmComm(ProcessComm):
     """Process-world communicator with shared-memory array collectives."""
 
@@ -140,10 +161,7 @@ class ShmComm(ProcessComm):
                 # left for the resource tracker's at-exit sweep would pin
                 # matrix-sized shared memory until the service restarts.
                 segment.close()
-                try:
-                    segment.unlink()
-                except FileNotFoundError:  # pragma: no cover - defensive
-                    pass
+                _unlink(segment)
             return arr
         route, *rest = self.bcast(None, root=root)
         if route == "wire":
@@ -175,10 +193,7 @@ class ShmComm(ProcessComm):
                 # too, so a contributor that survives a failed collective
                 # (e.g. a session worker whose peer died) strands nothing.
                 segment.close()
-                try:
-                    segment.unlink()
-                except FileNotFoundError:  # pragma: no cover - defensive
-                    pass
+                _unlink(segment)
             return None
         metas = self.gather(None, root=root)
         acc: np.ndarray | None = None

@@ -251,7 +251,50 @@ def _job_shm_int_counts(comm):
     return None if total is None else total
 
 
+# Forked ranks share the tracker the parent started, so a worker's
+# attach-then-untrack removes the segment name before its creator unlinks
+# it: the one-shot pmaxT covers bcast_array, the reduction reduce_array.
+_TRACKER_SCRIPT = """
+from multiprocessing import resource_tracker
+
+import numpy as np
+
+from repro import pmaxT
+from repro.mpi import run_spmd_shm
+
+
+def reduce_job(comm):
+    return comm.reduce_array(np.ones(1 << 16))  # 512 KiB: the shm route
+
+
+resource_tracker.ensure_running()
+X = np.random.default_rng(0).normal(size=(2000, 40))
+pmaxT(X, np.repeat([0, 1], 20), B=100, backend="shm", ranks=2)
+assert run_spmd_shm(reduce_job, 2)[0][0] == 2.0
+"""
+
+
 class TestShmWorld:
+    def test_unlink_after_attach_keeps_the_tracker_quiet(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        # run() reads stderr to EOF, which the tracker process holds
+        # open until it exits, so its messages are all captured.
+        proc = subprocess.run([sys.executable, "-c", _TRACKER_SCRIPT],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "KeyError" not in proc.stderr, proc.stderr
+        assert "Traceback" not in proc.stderr, proc.stderr
+
     def test_broadcast_views_are_read_only(self):
         results = run_spmd_shm(_job_shm_view_flags, 3)
         assert results[0] is True          # the master keeps its own array

@@ -121,47 +121,6 @@ class TestWorkerBootstrap:
         assert os.environ.get("REPRO_BLAS_THREADS") == before
 
 
-class TestElasticCap:
-    """apply_elastic_cap widens on a draining tail and narrows back."""
-
-    def _patch(self, monkeypatch, cores=8):
-        import repro.mpi.blasctl as blasctl
-
-        applied = []
-        monkeypatch.setattr(blasctl, "effective_cpu_count", lambda: cores)
-        monkeypatch.setattr(blasctl, "set_blas_threads",
-                            lambda n: applied.append(n) or 1)
-        return applied
-
-    def test_widens_then_narrows(self, monkeypatch):
-        from repro.mpi.blasctl import apply_elastic_cap
-
-        applied = self._patch(monkeypatch, cores=8)
-        cap = apply_elastic_cap(8, 1)    # 8 busy ranks: cap 1, no change
-        assert cap == 1 and applied == []
-        cap = apply_elastic_cap(2, cap)  # tail: widen to 8 // 2
-        assert cap == 4 and applied == [4]
-        cap = apply_elastic_cap(8, cap)  # requeued blocks: narrow back
-        assert cap == 1 and applied == [4, 1]
-
-    def test_floor_bounds_narrowing(self, monkeypatch):
-        from repro.mpi.blasctl import apply_elastic_cap
-
-        applied = self._patch(monkeypatch, cores=8)
-        cap = apply_elastic_cap(1, 2, floor=2)   # last rank: whole host
-        assert cap == 8 and applied == [8]
-        cap = apply_elastic_cap(8, cap, floor=2)
-        assert cap == 2                           # never below job-start cap
-        assert applied == [8, 2]
-
-    def test_failed_set_keeps_current(self, monkeypatch):
-        import repro.mpi.blasctl as blasctl
-
-        monkeypatch.setattr(blasctl, "effective_cpu_count", lambda: 8)
-        monkeypatch.setattr(blasctl, "set_blas_threads", lambda n: None)
-        assert blasctl.apply_elastic_cap(2, 1) == 1
-
-
 class TestLaunchMaster:
     def test_blas_threads_reaches_every_rank(self):
         if not blas_available():

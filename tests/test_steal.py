@@ -1,4 +1,4 @@
-"""Work-stealing scheduler: bit-identity, fault granularity, elastic caps.
+"""Work-stealing scheduler: bit-identity, fault granularity, fixed BLAS caps.
 
 The tentpole guarantees pinned here:
 
@@ -38,8 +38,8 @@ from repro.core.steal import (
     run_steal_worker,
 )
 from repro.errors import OptionError, PermutationError
-from repro.mpi import open_session, run_spmd
-from repro.mpi.blasctl import elastic_blas_cap
+from repro.mpi import open_session, run_spmd, run_spmd_processes
+from repro.mpi.blasctl import blas_available, get_blas_threads
 from repro.mpi.session import resident_cache
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -358,19 +358,51 @@ class TestInjectedDelay:
         assert injected_delay(2) == 0.125
 
 
-# -- elastic BLAS arithmetic ------------------------------------------------
+# -- BLAS caps stay fixed for the whole job ---------------------------------
 
 
-class TestElasticCap:
-    def test_cap_math(self):
-        assert elastic_blas_cap(1, cores=8) == 8
-        assert elastic_blas_cap(2, cores=8) == 4
-        assert elastic_blas_cap(3, cores=8) == 2
-        assert elastic_blas_cap(16, cores=8) == 1
-        assert elastic_blas_cap(0, cores=8) == 8  # degenerate: all idle
+def _bootstrap_cap(comm):
+    return get_blas_threads()
 
-    def test_default_cores_positive(self):
-        assert elastic_blas_cap(1) >= 1
+
+class TestFixedBlasCap:
+    """Every rank computes every block under its bootstrap BLAS cap.
+
+    A rank must not widen its pool past ``cores // ranks`` while a peer
+    is still computing: that oversubscribes the host exactly while the
+    job's slowest rank is running.
+    """
+
+    @pytest.mark.parametrize("backend", ["processes", "shm"])
+    @pytest.mark.parametrize("B,schedule,steal_block", [
+        (512, "static", None),   # the Figure-2 plan: one block per rank
+        (500, "steal", 256),     # one block per rank, empty pool
+        (1000, "steal", 100),    # a pool the ranks steal from
+    ], ids=["static", "empty-pool", "pool"])
+    def test_ranks_keep_bootstrap_cap(self, dataset, monkeypatch, tmp_path,
+                                      backend, B, schedule, steal_block):
+        if not blas_available():
+            pytest.skip("no controllable BLAS in this build")
+        import repro.core.pmaxt as pmaxt_module
+
+        expected = set(run_spmd_processes(_bootstrap_cap, 2))
+        log = tmp_path / "caps.txt"
+        real = pmaxt_module.run_kernel
+
+        def kernel(*args, **kwargs):
+            # Forked ranks inherit the patch; each appends one line.
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {get_blas_threads()}\n")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pmaxt_module, "run_kernel", kernel)
+        X, y = dataset
+        pmaxT(X, y, B=B, backend=backend, ranks=2, schedule=schedule,
+              steal_block=steal_block)
+        seen = [line.split() for line in log.read_text().splitlines()]
+        assert len({pid for pid, _ in seen}) == 2   # both ranks computed
+        assert len(expected) == 1
+        assert {int(cap) for _, cap in seen} == expected
 
 
 # -- bit-identity -----------------------------------------------------------
