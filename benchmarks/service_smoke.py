@@ -5,7 +5,10 @@ waits for ``/healthz``, submits a pmaxT analysis through
 :class:`~repro.serve.client.ServiceClient`, polls it to completion and
 asserts the wire result is **bit-identical** to a direct in-process
 ``pmaxT()`` run — the service tier must never change an answer.  Also
-checks ``/statsz`` reports the configured pools and the completed job.
+checks ``/statsz`` reports the configured pools and the completed job,
+and times 20 keep-alive ``/healthz`` round trips on one connection: a
+median above 20 ms means replies stall on the peer's delayed ACK again
+(headers and body sent as two writes), which costs ~40 ms per request.
 
 Exit status 0 = all checks passed, 1 = any failure (the CI service-smoke
 job gates on it)::
@@ -17,12 +20,15 @@ job gates on it)::
 from __future__ import annotations
 
 import argparse
+import http.client
 import os
 import re
+import statistics
 import subprocess
 import sys
 import time
 from pathlib import Path
+from urllib.parse import urlsplit
 
 import numpy as np
 
@@ -36,6 +42,10 @@ DEFAULT_B = 1_000
 DEFAULT_POOLS = 2
 DEFAULT_RANKS = 2
 DEFAULT_BACKEND = "threads"
+
+#: Keep-alive ``/healthz`` round trips timed, and the median they must beat.
+KEEPALIVE_ROUND_TRIPS = 20
+KEEPALIVE_MEDIAN_LIMIT_S = 0.020
 
 _LISTEN_RE = re.compile(r"listening on http://([\d.]+):(\d+)")
 
@@ -73,6 +83,22 @@ def _wait_healthy(client: ServiceClient, deadline_s: float = 30.0) -> None:
         time.sleep(0.1)
 
 
+def _keepalive_median(base_url: str) -> float:
+    """Median seconds of sequential ``GET /healthz`` on one connection."""
+    url = urlsplit(base_url)
+    conn = http.client.HTTPConnection(url.hostname, url.port, timeout=30)
+    times = []
+    try:
+        for _ in range(KEEPALIVE_ROUND_TRIPS):
+            t0 = time.perf_counter()
+            conn.request("GET", "/healthz")
+            conn.getresponse().read()
+            times.append(time.perf_counter() - t0)
+    finally:
+        conn.close()
+    return statistics.median(times)
+
+
 def run_smoke(genes: int, samples: int, B: int, pools: int, ranks: int,
               backend: str) -> int:
     X, _ = synthetic_expression(
@@ -85,6 +111,14 @@ def run_smoke(genes: int, samples: int, B: int, pools: int, ranks: int,
         client = ServiceClient(base_url)
         _wait_healthy(client)
         print(f"healthz ok at {base_url}")
+
+        median_s = _keepalive_median(base_url)
+        verdict = "ok" if median_s <= KEEPALIVE_MEDIAN_LIMIT_S else "STALL"
+        print(f"keep-alive healthz median {median_s * 1e3:.2f} ms over "
+              f"{KEEPALIVE_ROUND_TRIPS} round trips "
+              f"(limit {KEEPALIVE_MEDIAN_LIMIT_S * 1e3:.0f} ms): {verdict}")
+        if verdict != "ok":
+            return 1
 
         submitted = client.submit_pmaxt(X, labels, B=B, seed=17)
         print(f"submitted {submitted['id']} (state {submitted['state']})")

@@ -6,7 +6,7 @@ service the way an external user would::
 
     client = ServiceClient("http://127.0.0.1:8071")
     job_id = client.submit_pmaxt(X, labels, B=2_000)["id"]
-    doc = client.wait(job_id)          # poll until terminal
+    doc = client.wait(job_id)          # returns when the job finishes
     adjp = doc["result"]["adjp"]       # bit-identical to pmaxT(...)
 
 Errors map HTTP status codes back onto the library hierarchy:
@@ -96,14 +96,22 @@ class ServiceClient:
         )
 
     def get(self, job_id: str) -> dict:
-        """One poll of ``GET /v1/jobs/<id>``."""
+        """One poll of ``GET /v1/jobs/<id>``.
+
+        The server answers as soon as the job is terminal, or with its
+        current (queued/running) state after holding the request ~1 s.
+        """
         return self._request("GET", f"/v1/jobs/{job_id}")
 
     def cancel(self, job_id: str) -> dict:
         return self._request("POST", f"/v1/jobs/{job_id}/cancel")
 
-    def wait(self, job_id: str, *, timeout: float = 120.0, poll: float = 0.05) -> dict:
+    def wait(self, job_id: str, *, timeout: float = 120.0) -> dict:
         """Poll until the job is terminal; returns its final document.
+
+        Polls back to back: the server holds each poll of a non-terminal
+        job until it finishes (or ~1 s), so there is no client-side sleep
+        and ``timeout`` may be overrun by up to one hold.
 
         Raises :class:`~repro.errors.ServiceError` on deadline expiry or
         a failed/cancelled job (the server-reported error is included).
@@ -122,7 +130,6 @@ class ServiceClient:
                 )
             if time.monotonic() >= deadline:
                 raise ServiceError(f"timed out waiting for job {job_id} (state {state!r})")
-            time.sleep(poll)
 
     def healthz(self) -> dict:
         return self._request("GET", "/healthz")

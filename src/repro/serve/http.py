@@ -5,7 +5,8 @@ Endpoints (JSON in, JSON out)::
     POST /v1/jobs              submit {"kind": "pmaxt"|"pcor", "data": [[..]],
                                "labels": [..], "params": {..}, "priority": 0,
                                "timeout": null} -> 202 {"id": .., "state": ..}
-    GET  /v1/jobs/<id>         poll; terminal success includes "result"
+    GET  /v1/jobs/<id>         poll; answered when the job ends (or after a
+                               ~1 s hold); terminal success includes "result"
     POST /v1/jobs/<id>/cancel  withdraw a queued job
     GET  /healthz              200 {"status": "ok"} while a healthy pool exists
     GET  /statsz               pool occupancy, queue depth, cache hit rate,
@@ -13,7 +14,27 @@ Endpoints (JSON in, JSON out)::
 
 Backpressure: a full admission queue turns into ``429 Too Many Requests``
 with a JSON error body — clients retry after the backlog drains.  Invalid
-requests are ``400``, unknown jobs/paths ``404``.
+requests (malformed ``Content-Length``, a non-integer ``priority``, a
+``timeout`` that is not a non-negative number or null) are ``400``,
+oversized bodies ``413``, unknown jobs/paths ``404``.
+
+Every reply leaves the handler as **one write**: status line, headers,
+blank line and body in a single buffer.  Headers and body written as two
+small sends stall each keep-alive reply by the peer's delayed ACK
+(~40 ms): Nagle holds the second send until the first is acknowledged.
+One send needs no ``TCP_NODELAY``.
+
+``GET /v1/jobs/<id>`` on a queued or running job **holds** the request
+until the job turns terminal (done, failed or cancelled) or
+``_POLL_HOLD_S`` passes, whichever is first, so a poller learns of
+completion the moment it happens without spinning.  A non-terminal reply
+after the hold is still a valid poll answer; the client simply asks
+again.
+
+A reply sent without reading the request's declared body (``413``, a
+malformed ``Content-Length``, a chunked body, a POST to an unknown path
+or to ``/cancel``) carries ``Connection: close`` and ends the
+connection, so the unread bytes can never be parsed as the next request.
 
 The server is :class:`http.server.ThreadingHTTPServer` — one thread per
 in-flight request, which is plenty for a front-end whose heavy work
@@ -26,6 +47,7 @@ the direct ``pmaxT()`` return (asserted end-to-end by the CI smoke job).
 from __future__ import annotations
 
 import json
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from ..errors import DataError, OptionError, QueueFullError, ServiceError
@@ -39,6 +61,10 @@ _MAX_BODY = 100 * 1024 * 1024
 
 #: Job kinds accepted over the wire (the raw-callable kind is not).
 _HTTP_KINDS = ("pmaxt", "pcor")
+
+#: Longest a job poll waits for the job to turn terminal before replying
+#: with its current state (well under ``ServiceClient``'s socket timeout).
+_POLL_HOLD_S = 1.0
 
 
 class _ServiceHandler(BaseHTTPRequestHandler):
@@ -57,27 +83,49 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         if getattr(self.server, "verbose", False):  # pragma: no cover
             super().log_message(format, *args)
 
+    def parse_request(self) -> bool:
+        self._body_read = False
+        return super().parse_request()
+
     def _reply(self, code: int, payload: dict) -> None:
+        """Send the whole response — head and JSON body — in one write."""
+        if not self._body_read and (
+            self.headers.get("Content-Length", "0").strip() != "0"
+            or "Transfer-Encoding" in self.headers
+        ):
+            self.close_connection = True
         body = json.dumps(payload).encode()
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self.log_request(code)
+        head = [
+            f"{self.protocol_version} {code} {HTTPStatus(code).phrase}",
+            f"Server: {self.version_string()}",
+            f"Date: {self.date_time_string()}",
+            "Content-Type: application/json",
+            f"Content-Length: {len(body)}",
+        ]
+        if self.close_connection:
+            head.append("Connection: close")
+        self.wfile.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body)
 
     def _error(self, code: int, message: str, **extra) -> None:
         self._reply(code, {"error": message, **extra})
 
     def _read_json(self) -> dict | None:
-        length = int(self.headers.get("Content-Length") or 0)
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            self._error(400, "Content-Length must be an integer")
+            return None
         if length <= 0:
             self._error(400, "a JSON request body is required")
             return None
         if length > _MAX_BODY:
             self._error(413, f"request body exceeds {_MAX_BODY} bytes")
             return None
+        raw = self.rfile.read(length)
+        self._body_read = True
         try:
-            doc = json.loads(self.rfile.read(length))
+            doc = json.loads(raw)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             self._error(400, f"invalid JSON body: {exc}")
             return None
@@ -102,6 +150,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             if job is None:
                 self._error(404, f"unknown job {job_id!r}")
             else:
+                job.wait(_POLL_HOLD_S)
                 self._reply(200, job.to_dict())
         else:
             self._error(404, f"unknown path {self.path!r}")
@@ -139,7 +188,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             data=doc.get("data"),
             labels=doc.get("labels"),
             params=params,
-            priority=int(doc.get("priority", 0)),
+            priority=doc.get("priority", 0),
             timeout=doc.get("timeout"),
         )
         try:

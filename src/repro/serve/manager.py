@@ -23,14 +23,22 @@ and schedules admitted jobs across them:
 
 Each pool is served by one runner thread executing jobs strictly one at a
 time (the session contract), so ``pools`` bounds service concurrency.
+Pools of an in-process backend (``threads``, ``serial``) also take turns
+with one another: they share one interpreter lock and one BLAS pool, so
+two jobs running on them at once only contend — neither finishes sooner,
+and each one's run time depends on whether the other overlapped it.  Their
+extra pools remain reroute targets.  Process-backend pools run side by
+side.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import threading
 import time
+from numbers import Integral, Real
 from typing import Any
 
 import numpy as np
@@ -45,7 +53,7 @@ from ..errors import (
     QueueFullError,
     ServiceError,
 )
-from ..mpi.backends import open_session
+from ..mpi.backends import DEFAULT_BACKEND, open_session, resolve_backend
 from .jobs import JOB_KINDS, JobSpec, ServiceJob
 
 __all__ = ["PoolManager"]
@@ -147,6 +155,11 @@ class PoolManager:
         self.cache_answers = 0
         self._pools: list[_Pool] = []
         self._runners: list[threading.Thread] = []
+        #: In-process pools run one job at a time across the manager (see
+        #: the module docstring).
+        self._take_turns = resolve_backend(
+            DEFAULT_BACKEND if backend is None else backend
+        ).in_process
         try:
             for index in range(int(pools)):
                 session = open_session(
@@ -192,7 +205,9 @@ class PoolManager:
         :class:`~repro.errors.ServiceError` on a closed manager or an
         unknown job kind.  Invalid analysis parameters surface when the
         job runs (its state becomes ``failed``), except the obviously
-        malformed ones rejected here.
+        malformed ones rejected here: unknown parameters, missing
+        data/labels, a non-integer ``priority`` and a ``timeout`` that is
+        not a non-negative number (:class:`~repro.errors.OptionError`).
         """
         if spec.kind not in JOB_KINDS:
             raise ServiceError(
@@ -272,6 +287,16 @@ class PoolManager:
             raise DataError(f"kind={spec.kind!r} requires spec.data")
         if spec.kind == "pmaxt" and spec.labels is None:
             raise DataError("kind='pmaxt' requires spec.labels")
+        if isinstance(spec.priority, bool) or not isinstance(spec.priority, Integral):
+            raise OptionError(f"priority must be an int, got {spec.priority!r}")
+        if spec.timeout is not None and (
+            isinstance(spec.timeout, bool)
+            or not isinstance(spec.timeout, Real)
+            or not 0 <= spec.timeout < math.inf
+        ):
+            raise OptionError(
+                f"timeout must be a non-negative number or None, got {spec.timeout!r}"
+            )
 
     def _try_cache(self, spec: JobSpec):
         """Exact-hit short-circuit: answer from disk, touch no pool."""
@@ -299,7 +324,7 @@ class PoolManager:
                 return
             if not job._start(pool.index):
                 with self._cond:
-                    pool.busy = False
+                    self._free(pool)
                 continue  # cancelled while queued
             try:
                 result = self._run_job(pool, job)
@@ -307,7 +332,7 @@ class PoolManager:
                 self._job_failed(pool, job, exc)
             else:
                 with self._cond:
-                    pool.busy = False
+                    self._free(pool)
                     pool.healthy = True
                     pool.consecutive_failures = 0
                     pool.jobs_done += 1
@@ -320,6 +345,9 @@ class PoolManager:
             while True:
                 if self._closed:
                     return None
+                if self._take_turns and any(p.busy for p in self._pools):
+                    self._cond.wait()
+                    continue
                 taken = None
                 skipped = []
                 while self._queue:
@@ -335,6 +363,12 @@ class PoolManager:
                     pool.busy = True
                     return taken
                 self._cond.wait()
+
+    def _free(self, pool: _Pool) -> None:
+        """Mark ``pool`` idle and wake runners waiting for their turn
+        (``_cond`` held)."""
+        pool.busy = False
+        self._cond.notify_all()
 
     def _run_job(self, pool: _Pool, job: ServiceJob) -> Any:
         spec = job.spec
@@ -374,7 +408,7 @@ class PoolManager:
         """Health bookkeeping + reroute decision for one failed run."""
         world_failure = isinstance(exc, CommunicatorError)
         with self._cond:
-            pool.busy = False
+            self._free(pool)
             pool.jobs_failed += 1
             if world_failure:
                 pool.consecutive_failures += 1

@@ -19,6 +19,7 @@ import gc
 import os
 import signal
 import threading
+import time
 import weakref
 
 import numpy as np
@@ -74,6 +75,49 @@ def _crash_once(comm, sentinel=None):
 
 def _master_ok(comm, sentinel=None):
     return comm.rank
+
+
+def _overlap_probe(comm, gauge=None):
+    """Count how many probe jobs run at once (``gauge["peak"]``)."""
+    with gauge["lock"]:
+        gauge["active"] += 1
+        gauge["peak"] = max(gauge["peak"], gauge["active"])
+    time.sleep(0.05)
+    with gauge["lock"]:
+        gauge["active"] -= 1
+    return comm.rank
+
+
+class TestInProcessTurns:
+    """In-process pools share one interpreter lock and one BLAS pool, so
+    the manager runs one job at a time across them."""
+
+    @pytest.mark.parametrize("backend", ["serial", "threads"])
+    def test_pools_never_overlap(self, backend):
+        gauge = {"lock": threading.Lock(), "active": 0, "peak": 0}
+        with PoolManager(backend, 1, pools=2) as manager:
+            jobs = [manager.submit(JobSpec(
+                kind="fn", fn=functools.partial(_overlap_probe, gauge=gauge)))
+                for _ in range(4)]
+            for job in jobs:
+                assert job.result(timeout=30) == [0]
+        assert gauge["peak"] == 1
+
+    def test_next_job_waits_queued(self):
+        started, release = threading.Event(), threading.Event()
+        with PoolManager("serial", 1, pools=2) as manager:
+            first = manager.submit(JobSpec(
+                kind="fn",
+                fn=functools.partial(_wait_blocker, started=started,
+                                     release=release)))
+            assert started.wait(30)
+            second = manager.submit(JobSpec(kind="fn", fn=_touch))
+            assert not second.wait(0.3)
+            assert second.state == "queued"
+            assert manager.stats()["pools_busy"] == 1
+            release.set()
+            assert first.result(timeout=30) == ["blocked"]
+            assert second.result(timeout=30) == [None]
 
 
 class TestAdmissionControl:
