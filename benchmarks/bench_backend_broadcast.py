@@ -1,13 +1,13 @@
-"""Measured benchmark: pickled vs shared-memory array collectives.
+"""Measured benchmark: pickled vs shared-memory array broadcast.
 
 The tentpole claim of the execution-backend layer is that the ``shm``
 backend removes the dominant non-kernel cost of a process-world pmaxT run —
 the "create data" broadcast of the expression matrix (paper Tables I–V) —
 by replacing per-worker pickle-pipe-unpickle round trips with a single
 copy into a ``multiprocessing.shared_memory`` segment that every rank maps
-zero-copy.  This benchmark times exactly that collective, plus the closing
-count reduction, on both process backends and writes the comparison to
-``BENCH_backend.json`` so the performance trajectory captures the gap.
+zero-copy.  This benchmark times exactly that collective on both process
+backends and writes the comparison to ``BENCH_backend.json`` so the
+performance trajectory captures the gap.
 
 Run standalone (writes the JSON next to the repository root)::
 
@@ -63,64 +63,30 @@ def _bcast_job(X, repeats, pickled):
     return job
 
 
-def _reduce_job(m, repeats, pickled):
-    """SPMD job: master-timed reduction of a length-``m`` count vector."""
-
-    def job(comm):
-        counts = np.full(m, comm.rank + 1, dtype=np.int64)
-        best = float("inf")
-        for _ in range(repeats):
-            comm.barrier()
-            start = time.perf_counter()
-            total = (comm.reduce(counts) if pickled
-                     else comm.reduce_array(counts))
-            comm.barrier()
-            elapsed = time.perf_counter() - start
-            best = min(best, elapsed)
-            if comm.is_master:
-                assert int(total[0]) == comm.size * (comm.size + 1) // 2
-        return best if comm.is_master else None
-
-    return job
-
-
 def measure(n_genes=DEFAULT_GENES, n_samples=DEFAULT_SAMPLES,
             ranks=DEFAULT_RANKS, repeats=DEFAULT_REPEATS, seed=3) -> dict:
-    """Time the data broadcast and count reduction on both process worlds."""
+    """Time the data broadcast on both process worlds."""
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n_genes, n_samples))
 
     timings = {}
-    # The "processes" rows use the generic object path (comm.bcast/reduce),
-    # i.e. the pre-refactor wire: a pickled matrix through every rank's
-    # queue.  The "shm" rows use the array collectives over shared memory.
-    # The reduction vector matches the broadcast payload in bytes so both
-    # collectives are measured above the shm threshold (pmaxT's own count
-    # vectors are usually small and deliberately ride the queue wire).
-    reduce_len = n_genes * n_samples
+    # The "processes" row uses the generic object path (comm.bcast), i.e.
+    # the pre-refactor wire: a pickled matrix through every rank's queue.
+    # The "shm" row uses bcast_array over shared memory.
     for backend, pickled in (("processes", True), ("shm", False)):
-        bcast = run_backend(backend, _bcast_job(X, repeats, pickled),
-                            ranks)[0]
-        reduce_ = run_backend(backend, _reduce_job(reduce_len, repeats,
-                                                   pickled), ranks)[0]
-        timings[backend] = {"bcast_s": bcast, "reduce_s": reduce_}
+        timings[backend] = run_backend(
+            backend, _bcast_job(X, repeats, pickled), ranks)[0]
 
     return {
         "benchmark": "backend_broadcast",
         "matrix": [n_genes, n_samples],
         "dtype": "float64",
         "payload_mb": X.nbytes / 1e6,
-        "reduce_len": reduce_len,
         "ranks": ranks,
         "repeats": repeats,
-        "pickled_bcast_s": timings["processes"]["bcast_s"],
-        "shm_bcast_s": timings["shm"]["bcast_s"],
-        "bcast_speedup": (timings["processes"]["bcast_s"]
-                          / timings["shm"]["bcast_s"]),
-        "pickled_reduce_s": timings["processes"]["reduce_s"],
-        "shm_reduce_s": timings["shm"]["reduce_s"],
-        "reduce_speedup": (timings["processes"]["reduce_s"]
-                           / timings["shm"]["reduce_s"]),
+        "pickled_bcast_s": timings["processes"],
+        "shm_bcast_s": timings["shm"],
+        "bcast_speedup": timings["processes"] / timings["shm"],
     }
 
 
@@ -134,7 +100,7 @@ def test_shm_broadcast_beats_pickled():
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Time pickled vs shared-memory array collectives.")
+        description="Time pickled vs shared-memory array broadcast.")
     parser.add_argument("--genes", type=int, default=DEFAULT_GENES)
     parser.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     parser.add_argument("--ranks", type=int, default=DEFAULT_RANKS)
@@ -157,9 +123,6 @@ def main(argv=None) -> int:
     print(f"  broadcast   pickled {result['pickled_bcast_s'] * 1e3:8.2f} ms"
           f"   shm {result['shm_bcast_s'] * 1e3:8.2f} ms"
           f"   speedup {result['bcast_speedup']:.1f}x")
-    print(f"  reduction   pickled {result['pickled_reduce_s'] * 1e3:8.2f} ms"
-          f"   shm {result['shm_reduce_s'] * 1e3:8.2f} ms"
-          f"   speedup {result['reduce_speedup']:.1f}x")
     print(f"written to {out}")
     return 0
 

@@ -263,12 +263,16 @@ def _serve_main(argv: list[str]) -> int:
     from .serve import PoolManager
     from .serve.http import serve_forever
 
-    manager = PoolManager(
-        args.backend, max(1, args.ranks), pools=max(1, args.pools),
-        max_queue=args.max_queue, blas_threads=args.blas_threads,
-        idle_timeout=args.idle_timeout, job_timeout=args.job_timeout,
-        cache_dir=cache_dir,
-    )
+    try:
+        manager = PoolManager(
+            args.backend, max(1, args.ranks), pools=max(1, args.pools),
+            max_queue=args.max_queue, blas_threads=args.blas_threads,
+            idle_timeout=args.idle_timeout, job_timeout=args.job_timeout,
+            cache_dir=cache_dir,
+        )
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     serve_forever(manager, args.host, args.port)
     return 0
 

@@ -4,8 +4,8 @@ Two layers live here:
 
 **Communicators** (:mod:`repro.mpi.comm`) — the MPI-like interface every
 algorithm is written against: ``bcast``/``gather``/``reduce``/``barrier``
-plus the array-aware ``bcast_array``/``reduce_array`` collectives that let
-a backend move numpy data without pickling.  Implementations:
+plus the array-aware ``bcast_array`` collective that lets a backend move
+numpy data without pickling.  Implementations:
 
 * :class:`~repro.mpi.serial.SerialComm` — one-rank world;
 * :class:`~repro.mpi.threads.ThreadComm` — SPMD OS threads with blocking
@@ -71,7 +71,6 @@ from .serial import SerialComm
 from .session import (
     BackendSession,
     EphemeralSession,
-    JobFuture,
     WorkerPoolSession,
     resident_cache,
 )
@@ -105,7 +104,6 @@ __all__ = [
     "open_session",
     "BackendSession",
     "EphemeralSession",
-    "JobFuture",
     "WorkerPoolSession",
     "resident_cache",
     "PublishedDataset",

@@ -39,7 +39,12 @@ from ..errors import CommunicatorError
 from .comm import Communicator
 from .processes import ProcessComm, run_spmd_processes
 from .serial import SerialComm
-from .session import BackendSession, EphemeralSession, WorkerPoolSession
+from .session import (
+    BackendSession,
+    EphemeralSession,
+    WorkerPoolSession,
+    _check_world_options,
+)
 from .shm import ShmComm, run_spmd_shm
 from .threads import run_spmd
 
@@ -278,7 +283,12 @@ def open_session(
     lifetime; ``idle_timeout`` tears a persistent pool down after that
     many idle seconds (transparently respawned by the next call);
     ``job_timeout`` bounds each job's collectives and result collection.
+    Each is ``None`` (the default) or in range — a positive finite
+    ``job_timeout``, a non-negative finite ``idle_timeout``, an integer
+    ``blas_threads`` >= 0 — or :class:`~repro.errors.OptionError` is
+    raised here, before any job runs.
     """
+    _check_world_options(blas_threads, idle_timeout, job_timeout)
     spec = DEFAULT_BACKEND if backend is None else backend
     nranks = 1 if ranks is None else int(ranks)
     session = resolve_backend(spec).open_session(

@@ -139,14 +139,13 @@ class Communicator(ABC):
 
     # -- array-aware collectives ---------------------------------------------------
     #
-    # The paper's Tables I–V show the "create data" broadcast and the final
-    # count reduction dominating pmaxT's non-kernel time.  These entry points
-    # let a backend move numpy arrays without the generic object path's
-    # pickling: the defaults below simply delegate (correct for any
-    # conformant world, and exactly right for SerialComm/ThreadComm where
-    # ranks already share an address space), while process-based backends
-    # override them — ProcessComm with a contiguous wire format and
-    # streaming accumulation, ShmComm with zero-copy shared-memory segments.
+    # The paper's Tables I–V show the "create data" broadcast dominating
+    # pmaxT's non-kernel time.  This entry point lets a backend move numpy
+    # arrays without the generic object path's pickling: the default below
+    # simply delegates (correct for any conformant world, and exactly right
+    # for SerialComm/ThreadComm where ranks already share an address
+    # space), while process-based backends override it — ProcessComm with
+    # a contiguous wire format, ShmComm with a zero-copy shared segment.
 
     def bcast_array(self, arr: np.ndarray | None, root: int = 0, *,
                     dtype=None) -> np.ndarray:
@@ -164,15 +163,6 @@ class Communicator(ABC):
         if dtype is not None and self.rank == root and arr is not None:
             arr = np.ascontiguousarray(arr, dtype=np.dtype(dtype))
         return self.bcast(arr, root=root)
-
-    def reduce_array(self, arr: np.ndarray, op: ReduceOp = SUM, root: int = 0) -> np.ndarray | None:
-        """Elementwise-reduce same-shaped arrays; only ``root`` gets the result.
-
-        Every rank contributes an array of identical shape and dtype.  The
-        reduction is applied in rank order (rank 0 first), so the result is
-        bit-identical across backends even for non-commutative rounding.
-        """
-        return self.reduce(arr, op=op, root=root)
 
     # -- conveniences -------------------------------------------------------------
 

@@ -221,37 +221,6 @@ class ProcessComm(Communicator):
         _, wire = self._get("bcast-arr", root, seq)
         return _from_wire(*wire)
 
-    def reduce_array(self, arr, op: ReduceOp = SUM, root: int = 0):
-        """Reduce arrays with streaming, in-place accumulation at the root.
-
-        Unlike the generic ``reduce`` (a gather holding all ``size`` payloads
-        at once), the root folds each contribution into the accumulator as
-        soon as its turn in rank order comes up, bounding peak memory at
-        ~two vectors regardless of world size.
-        """
-        self._check_root(root)
-        seq = self._opseq
-        self._opseq += 1
-        arr = np.ascontiguousarray(arr)
-        if self._rank != root:
-            self._put(root, "reduce-arr", seq, _to_wire(arr))
-            return None
-        pending: dict[int, tuple] = {}
-        acc: np.ndarray | None = None
-        for nxt in range(self._size):
-            if nxt == root:
-                contribution = arr
-            else:
-                while nxt not in pending:
-                    src, wire = self._get("reduce-arr", None, seq)
-                    pending[src] = wire
-                contribution = _from_wire(*pending.pop(nxt))
-            if acc is None:
-                acc = np.array(contribution, copy=True)
-            else:
-                acc = op(acc, contribution)
-        return acc
-
     def barrier(self) -> None:
         # two-phase star barrier through rank 0
         seq = self._opseq

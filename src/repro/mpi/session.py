@@ -37,20 +37,19 @@ one; the fork-based one-shot path has no such restriction.  Jobs are SPMD:
 every rank must execute the same collective sequence and return, leaving
 no unconsumed traffic behind, before the session dispatches the next job.
 
-Asynchronous submission
------------------------
+The session thread
+------------------
 
-``session.submit(fn, ...) -> JobFuture`` is the non-blocking half of the
-same contract: the job is queued to the session's dispatcher thread (one
-per session, started lazily on first submit) and the returned
-:class:`JobFuture` resolves when the job completes.  ``run()`` is exactly
-``submit(...).result()``, so both paths share one dispatch pipeline and
-one ordering: jobs execute strictly one at a time per session, lowest
-``priority`` value first (ties in submission order).  A queued job can be
-cancelled until the dispatcher picks it up; a running SPMD job cannot be
-interrupted (its collectives span every rank), so ``cancel()`` on a
-running job returns ``False`` — services that need hard deadlines pass
-``timeout=``, which bounds the job and tears a pool down on expiry.
+Every job runs on one thread the session owns (a single-worker
+:class:`~concurrent.futures.ThreadPoolExecutor`): ``run()`` hands the job
+over and blocks, so concurrent callers take turns and jobs never overlap.
+Rank 0 deliberately stays off the caller's thread: on a 2-core Xeon, a
+serial 6102×76 ``pmaxT`` ran about 3% faster (median of 6 interleaved
+rounds) off the main thread than on it, and a warm 2-rank ``shm`` call
+0–2.5% faster.  The gap is small and noisy; ``MALLOC_ARENA_MAX=1``
+shrinks it, which points at glibc's main malloc arena.  Asynchronous
+submission, priorities and cancellation belong to
+:class:`~repro.serve.PoolManager`.
 
 Per-rank resident caches
 ------------------------
@@ -66,6 +65,7 @@ buffers instead of reallocating them.  Outside a session it returns
 
 from __future__ import annotations
 
+import math
 import multiprocessing as mp
 import os
 import pickle
@@ -75,7 +75,9 @@ import time
 import traceback
 import weakref
 from abc import ABC, abstractmethod
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
+from numbers import Integral, Real
 from typing import Any, Callable
 
 from ..errors import CommunicatorError, OptionError, WorkerDeadError
@@ -85,7 +87,6 @@ from .processes import _DEFAULT_TIMEOUT, _join_or_kill, ProcessComm
 __all__ = [
     "BackendSession",
     "EphemeralSession",
-    "JobFuture",
     "WorkerPoolSession",
     "resident_cache",
 ]
@@ -129,197 +130,6 @@ def _cache_scope(cache: dict):
         _LOCAL.cache = previous
 
 
-#: Lifecycle states of a :class:`JobFuture`.
-JOB_QUEUED = "queued"
-JOB_RUNNING = "running"
-JOB_DONE = "done"
-JOB_FAILED = "failed"
-JOB_CANCELLED = "cancelled"
-
-_JOB_TERMINAL = frozenset({JOB_DONE, JOB_FAILED, JOB_CANCELLED})
-
-
-class JobFuture:
-    """Handle to one asynchronously submitted session job.
-
-    Returned by :meth:`BackendSession.submit`.  The future resolves to the
-    job's **rank-ordered result list** (the same value ``run()`` returns);
-    a failure re-raises the job's exception from :meth:`result`.  States
-    move ``queued -> running -> done | failed``, or ``queued ->
-    cancelled`` when :meth:`cancel` wins the race against the dispatcher.
-    """
-
-    def __init__(self, job_id: int, priority: int = 0):
-        #: Monotonic per-session job number (the session's submission tag;
-        #: a :class:`WorkerPoolSession` additionally stamps every dispatch
-        #: with its pool-generation tag on the wire).
-        self.job_id = job_id
-        #: Scheduling priority (lower runs first; ties in submit order).
-        self.priority = priority
-        self._cond = threading.Condition()
-        self._state = JOB_QUEUED
-        self._results: list[Any] | None = None
-        self._error: BaseException | None = None
-
-    # -- inspection --------------------------------------------------------
-
-    @property
-    def state(self) -> str:
-        with self._cond:
-            return self._state
-
-    def done(self) -> bool:
-        """True once the job reached a terminal state (incl. cancelled)."""
-        with self._cond:
-            return self._state in _JOB_TERMINAL
-
-    def running(self) -> bool:
-        with self._cond:
-            return self._state == JOB_RUNNING
-
-    def cancelled(self) -> bool:
-        with self._cond:
-            return self._state == JOB_CANCELLED
-
-    # -- consumption -------------------------------------------------------
-
-    def cancel(self) -> bool:
-        """Cancel the job if it has not started; returns success.
-
-        A queued job is withdrawn (it will never run).  A running SPMD job
-        cannot be interrupted — every rank is inside its collective
-        sequence — so cancelling it returns ``False``; bound it with the
-        ``timeout=`` passed at submission instead.
-        """
-        with self._cond:
-            if self._state == JOB_QUEUED:
-                self._state = JOB_CANCELLED
-                self._cond.notify_all()
-                return True
-            return self._state == JOB_CANCELLED
-
-    def result(self, timeout: float | None = None) -> list[Any]:
-        """Block for the rank-ordered results (what ``run()`` returns).
-
-        Raises the job's own exception if it failed, and
-        :class:`~repro.errors.CommunicatorError` if the job was cancelled
-        or ``timeout`` (seconds of *waiting*, distinct from the job's own
-        execution deadline) expires first.
-        """
-        with self._cond:
-            if not self._cond.wait_for(
-                lambda: self._state in _JOB_TERMINAL, timeout
-            ):
-                raise CommunicatorError(
-                    f"timed out waiting for session job {self.job_id} "
-                    f"(state {self._state!r})"
-                )
-            if self._state == JOB_CANCELLED:
-                raise CommunicatorError(
-                    f"session job {self.job_id} was cancelled"
-                )
-            if self._error is not None:
-                raise self._error
-            return self._results  # type: ignore[return-value]
-
-    def exception(self, timeout: float | None = None) -> BaseException | None:
-        """The job's exception (``None`` on success); blocks like result."""
-        with self._cond:
-            if not self._cond.wait_for(
-                lambda: self._state in _JOB_TERMINAL, timeout
-            ):
-                raise CommunicatorError(
-                    f"timed out waiting for session job {self.job_id}"
-                )
-            return self._error
-
-    # -- dispatcher-side transitions ---------------------------------------
-
-    def _start(self) -> bool:
-        """Claim the job for execution; False when cancellation won."""
-        with self._cond:
-            if self._state != JOB_QUEUED:
-                return False
-            self._state = JOB_RUNNING
-            return True
-
-    def _finish(self, results: list[Any]) -> None:
-        with self._cond:
-            self._results = results
-            self._state = JOB_DONE
-            self._cond.notify_all()
-
-    def _fail(self, error: BaseException) -> None:
-        with self._cond:
-            self._error = error
-            self._state = JOB_FAILED
-            self._cond.notify_all()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"JobFuture(job_id={self.job_id}, priority={self.priority}, "
-            f"state={self.state!r})"
-        )
-
-
-class _QueuedJob:
-    """Priority-queue entry: ordering key + the job payload."""
-
-    __slots__ = ("order", "future", "fn", "worker_fn", "timeout")
-
-    def __init__(self, order, future, fn, worker_fn, timeout):
-        self.order = order
-        self.future = future
-        self.fn = fn
-        self.worker_fn = worker_fn
-        self.timeout = timeout
-
-    def __lt__(self, other: "_QueuedJob") -> bool:
-        return self.order < other.order
-
-
-def _stop_item() -> _QueuedJob:
-    """A dispatcher stop token that outranks every real job."""
-    return _QueuedJob((float("-inf"), -1), None, None, None, None)
-
-
-def _stop_dispatcher(jobs_q) -> None:
-    """GC finalizer: wake the dispatcher so it can exit."""
-    jobs_q.put(_stop_item())
-
-
-def _dispatcher_main(session_ref, jobs_q) -> None:
-    """Session dispatcher: execute queued jobs strictly one at a time.
-
-    Holds only a weak reference to the session between jobs, so an
-    abandoned (never-closed) session can still be garbage-collected — its
-    finalizers reap the worker pool and enqueue the stop token that ends
-    this thread.
-    """
-    while True:
-        item = jobs_q.get()
-        if item.future is None:
-            return
-        if not item.future._start():
-            continue  # cancelled while queued
-        session = session_ref()
-        if session is None:  # pragma: no cover - GC race guard
-            item.future._fail(
-                CommunicatorError(
-                    "session was garbage-collected before the job ran"
-                )
-            )
-            return
-        try:
-            results = session._execute(item.fn, item.worker_fn, item.timeout)
-        except BaseException as exc:  # noqa: BLE001 - shipped to the future
-            item.future._fail(exc)
-        else:
-            item.future._finish(results)
-        finally:
-            del session
-
-
 class BackendSession(ABC):
     """A context-managed SPMD world that outlives individual jobs."""
 
@@ -332,23 +142,27 @@ class BackendSession(ABC):
     #: Lazily created dataset registry backing :meth:`publish`.
     _datasets: Any = None
 
-    def __init__(self) -> None:
-        self._submit_lock = threading.Lock()
-        self._submit_seq = 0
-        self._jobs_q: queue_mod.PriorityQueue | None = None
-        self._dispatcher: threading.Thread | None = None
-        self._dispatcher_finalizer: weakref.finalize | None = None
-        self._pending: list[JobFuture] = []
+    def __init__(self, ranks: int) -> None:
+        self._ranks = int(ranks)
+        self._closed = False
+        #: Successfully completed jobs.
+        self.jobs_run = 0
+        # The session thread (see the module docstring).  It is started by
+        # the first job and holds no reference to the session, so an
+        # unclosed session is still collected and the thread then exits.
+        self._executor = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="session"
+        )
 
     @property
-    @abstractmethod
     def ranks(self) -> int:
         """World size (master rank 0 included)."""
+        return self._ranks
 
     @property
-    @abstractmethod
     def closed(self) -> bool:
         """True once :meth:`close` has run; a closed session cannot run."""
+        return self._closed
 
     @abstractmethod
     def _execute(
@@ -357,46 +171,27 @@ class BackendSession(ABC):
         worker_fn: SpmdFunction | None,
         timeout: float | None,
     ) -> list[Any]:
-        """Synchronously execute one SPMD job (dispatcher-thread side)."""
+        """Synchronously execute one SPMD job (on the session thread)."""
 
-    @abstractmethod
     def close(self) -> None:
-        """Tear the world down; idempotent."""
+        """Tear the world down; idempotent.
 
-    # -- job submission ----------------------------------------------------
-
-    def submit(
-        self,
-        fn: SpmdFunction,
-        *,
-        worker_fn: SpmdFunction | None = None,
-        timeout: float | None = None,
-        priority: int = 0,
-    ) -> JobFuture:
-        """Queue one SPMD job for asynchronous execution.
-
-        ``fn(comm)`` runs on rank 0, ``worker_fn(comm)`` (default ``fn``)
-        on every other rank — the dispatch contract of :meth:`run`.  Jobs
-        execute strictly one at a time per session, lowest ``priority``
-        first (ties in submission order), on the session's dispatcher
-        thread.  ``timeout`` bounds the job's execution (collectives and
-        result collection), not the wait for its turn; pass a timeout to
-        :meth:`JobFuture.result` to bound the wait as well.
+        The flag goes first, so jobs still waiting for the session thread
+        fail fast; the thread is joined *before* the world is released,
+        because a running job still uses it.
         """
-        self._assert_open()
-        with self._submit_lock:
-            self._assert_open()
-            self._ensure_dispatcher_locked()
-            self._submit_seq += 1
-            future = JobFuture(self._submit_seq, priority=int(priority))
-            item = _QueuedJob(
-                (int(priority), self._submit_seq), future, fn, worker_fn,
-                timeout,
-            )
-            self._pending = [f for f in self._pending if not f.done()]
-            self._pending.append(future)
-            self._jobs_q.put(item)
-        return future
+        if self._closed:
+            return
+        self._closed = True
+        self._executor.shutdown(wait=True)
+        self._release_world()
+        self._sweep_cache()
+
+    def _release_world(self) -> None:
+        """Free the world's resources (part of :meth:`close`)."""
+        self._drop_datasets()
+
+    # -- job dispatch ------------------------------------------------------
 
     def run(
         self,
@@ -409,48 +204,15 @@ class BackendSession(ABC):
 
         ``fn(comm)`` runs on rank 0, ``worker_fn(comm)`` (default ``fn``)
         on every other rank.  See the module docstring for the dispatch
-        contract.  This is exactly ``submit(...).result()``: the job joins
-        the same queue as asynchronous submissions and blocks the caller
-        until its turn completes.
+        contract.  The job runs on the session thread; the caller blocks
+        until it completes, and concurrent callers take turns.
         """
-        return self.submit(fn, worker_fn=worker_fn, timeout=timeout).result()
-
-    def _ensure_dispatcher_locked(self) -> None:
-        if self._dispatcher is not None and self._dispatcher.is_alive():
-            return
-        self._jobs_q = queue_mod.PriorityQueue()
-        thread = threading.Thread(
-            target=_dispatcher_main,
-            args=(weakref.ref(self), self._jobs_q),
-            name=f"session-dispatch-{self.backend_name}",
-            daemon=True,
-        )
-        thread.start()
-        self._dispatcher = thread
-        # An abandoned session must not leave the dispatcher spinning: GC
-        # enqueues the stop token the moment the session object dies.
-        self._dispatcher_finalizer = weakref.finalize(
-            self, _stop_dispatcher, self._jobs_q
-        )
-
-    def _shutdown_dispatcher(self) -> None:
-        """Cancel queued jobs, stop the dispatcher, wait for the in-flight
-        job to finish (part of :meth:`close`)."""
-        with self._submit_lock:
-            jobs_q, thread = self._jobs_q, self._dispatcher
-            pending, self._pending = self._pending, []
-            self._jobs_q = None
-            self._dispatcher = None
-            if self._dispatcher_finalizer is not None:
-                self._dispatcher_finalizer.detach()
-                self._dispatcher_finalizer = None
-        if jobs_q is None:
-            return
-        for future in pending:
-            future.cancel()
-        jobs_q.put(_stop_item())
-        if thread is not None and thread is not threading.current_thread():
-            thread.join()
+        try:
+            future = self._executor.submit(self._execute, fn, worker_fn, timeout)
+        except RuntimeError:  # close() has shut the executor down
+            self._assert_open()
+            raise
+        return future.result()
 
     def worker_pids(self) -> list[int]:
         """PIDs of the resident worker processes (empty when in-process)."""
@@ -495,7 +257,7 @@ class BackendSession(ABC):
             "backend": self.backend_name,
             "ranks": self.ranks,
             "closed": self.closed,
-            "jobs_run": getattr(self, "jobs_run", 0),
+            "jobs_run": self.jobs_run,
             "publishes": 0,
             "datasets": 0,
             "published_bytes": 0,
@@ -550,13 +312,49 @@ class BackendSession(ABC):
         )
 
 
-def _check_blas_threads(blas_threads: int | None) -> int | None:
-    if blas_threads is not None and int(blas_threads) < 0:
+def _is_number(value: Any) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def _check_world_options(
+    blas_threads: Any = None,
+    idle_timeout: Any = None,
+    job_timeout: Any = None,
+) -> int | None:
+    """Validate a session's world options; return ``blas_threads`` as int.
+
+    ``None`` leaves any option at its default.  Otherwise ``job_timeout``
+    must be a positive finite number of seconds, ``idle_timeout`` a
+    non-negative finite one, and ``blas_threads`` an integer >= 0 (0
+    disables capping).  Checked when a session opens, so a bad value
+    fails there instead of in every job.
+    """
+    if job_timeout is not None and not (
+        _is_number(job_timeout) and 0 < job_timeout < math.inf
+    ):
         raise OptionError(
-            f"blas_threads must be >= 0 (0 disables capping), "
-            f"got {blas_threads}"
+            f"job_timeout must be a positive finite number of seconds or "
+            f"None, got {job_timeout!r}"
         )
-    return None if blas_threads is None else int(blas_threads)
+    if idle_timeout is not None and not (
+        _is_number(idle_timeout) and 0 <= idle_timeout < math.inf
+    ):
+        raise OptionError(
+            f"idle_timeout must be a non-negative finite number of seconds "
+            f"or None, got {idle_timeout!r}"
+        )
+    if blas_threads is None:
+        return None
+    if not (
+        isinstance(blas_threads, Integral)
+        and not isinstance(blas_threads, bool)
+        and blas_threads >= 0
+    ):
+        raise OptionError(
+            f"blas_threads must be an integer >= 0 (0 disables capping) "
+            f"or None, got {blas_threads!r}"
+        )
+    return int(blas_threads)
 
 
 class EphemeralSession(BackendSession):
@@ -571,26 +369,15 @@ class EphemeralSession(BackendSession):
     """
 
     def __init__(self, backend, ranks: int, *, blas_threads: int | None = None):
-        super().__init__()
+        super().__init__(ranks)
         self._backend = backend
-        self._ranks = int(ranks)
-        self._blas_threads = _check_blas_threads(blas_threads)
+        self._blas_threads = _check_world_options(blas_threads)
         # Worker processes are throwaway, so only in-process worlds can
         # meaningfully keep per-rank state warm across jobs.
         self._caches: list[dict] | None = (
             [{} for _ in range(self._ranks)] if backend.in_process else None
         )
-        self._closed = False
         self.backend_name = backend.name
-        self.jobs_run = 0
-
-    @property
-    def ranks(self) -> int:
-        return self._ranks
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
 
     def _execute(
         self,
@@ -603,14 +390,6 @@ class EphemeralSession(BackendSession):
         results = self._run_capped(job, timeout)
         self.jobs_run += 1
         return results
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self._shutdown_dispatcher()
-        self._drop_datasets()
-        self._sweep_cache()
 
     def _publish_via_shm(self) -> bool:
         # Fork-type one-shot worlds inherit nothing between jobs, so a
@@ -873,15 +652,15 @@ class WorkerPoolSession(BackendSession):
     ):
         if int(ranks) < 1:
             raise CommunicatorError(f"ranks must be >= 1, got {ranks}")
-        super().__init__()
+        super().__init__(ranks)
         self._comm_cls = comm_cls
-        self._ranks = int(ranks)
-        self._blas_threads = _check_blas_threads(blas_threads)
+        self._blas_threads = _check_world_options(
+            blas_threads, idle_timeout, job_timeout
+        )
         self._idle_timeout = idle_timeout
         self._job_timeout = float(job_timeout)
         self.backend_name = name if name is not None else comm_cls.__name__
         self._lock = threading.RLock()
-        self._closed = False
         self._procs: list | None = None
         self._inboxes: list | None = None
         self._results_q = None
@@ -896,8 +675,6 @@ class WorkerPoolSession(BackendSession):
         #: Pool incarnations spawned so far (1 after the first dispatch;
         #: each crash/idle respawn increments it).
         self.spawns = 0
-        #: Successfully completed jobs.
-        self.jobs_run = 0
         #: Single-rank respawns (fault-granular recovery: one worker died
         #: mid-steal, the survivors kept their warm state).
         self.rank_respawns = 0
@@ -912,14 +689,6 @@ class WorkerPoolSession(BackendSession):
         self._dead_ranks: set[int] = set()
 
     # -- introspection -----------------------------------------------------
-
-    @property
-    def ranks(self) -> int:
-        return self._ranks
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
 
     @property
     def generation(self) -> int:
@@ -1055,7 +824,7 @@ class WorkerPoolSession(BackendSession):
 
         Runs between the master's collective poll slices (see
         :class:`_WatchfulInbox`) and between result-queue polls.  Draining
-        the result queue first gives a clean failure report priority over
+        the result queue first gives a clean failure report precedence over
         the bare "worker died" diagnosis of the exit that follows it.
         """
         while True:
@@ -1251,21 +1020,15 @@ class WorkerPoolSession(BackendSession):
             except (OSError, ValueError):
                 pass
 
-    def close(self) -> None:
-        if self._closed:
-            return
-        # Flag first so queued submissions stop; then drain the dispatcher
-        # *before* taking the pool lock — a running job holds it, and
-        # joining under the lock would deadlock against that job.
-        self._closed = True
-        self._shutdown_dispatcher()
+    def _release_world(self) -> None:
+        # Runs after close() joined the session thread: a running job
+        # holds the pool lock, and joining under it would deadlock.
         with self._lock:
             self._cancel_idle_timer()
             self._teardown_pool(graceful=True)
             # After the workers are gone: their mappings of published
             # segments are released, so the unlink frees the pages too.
             self._drop_datasets()
-        self._sweep_cache()
 
     # -- idle teardown -----------------------------------------------------
 

@@ -12,9 +12,6 @@ numpy arrays through ``multiprocessing.shared_memory`` segments:
   shared segment and broadcasts only ``(name, shape, dtype)``; every worker
   maps the segment and returns a read-only zero-copy view.  Cost is one
   memcpy total instead of one pickle-pipe-unpickle round per worker.
-* :meth:`ShmComm.reduce_array` — each contributor writes its vector into a
-  shared segment; the root accumulates directly out of the mapped buffers
-  in rank order (bit-identical to every other backend) with no pickling.
 
 Lifecycle: every collective ends with a rendezvous after which the
 creator unlinks its segment immediately — workers keep their (already
@@ -35,7 +32,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .comm import Communicator, ReduceOp, SUM
+from .comm import Communicator
 from .processes import (
     _DEFAULT_TIMEOUT,
     _from_wire,
@@ -172,46 +169,6 @@ class ShmComm(ProcessComm):
         self.barrier()
         return view
 
-    def reduce_array(self, arr, op: ReduceOp = SUM, root: int = 0):
-        self._check_root(root)
-        arr = np.ascontiguousarray(arr)
-        if self.size == 1:
-            return np.array(arr, copy=True)
-        if arr.nbytes < SHM_THRESHOLD_BYTES:
-            # SPMD: every rank sees the same shape/dtype, so all take the
-            # same route.  The queue wire wins below the crossover.
-            return super().reduce_array(arr, op=op, root=root)
-        if self._rank != root:
-            segment, meta = self._share(arr)
-            try:
-                self.gather(meta, root=root)
-                # The closing barrier guarantees the root has finished
-                # reading; the creator then reclaims its own segment.
-                self.barrier()
-            finally:
-                # As in bcast_array: reclaim the name on the failure path
-                # too, so a contributor that survives a failed collective
-                # (e.g. a session worker whose peer died) strands nothing.
-                segment.close()
-                _unlink(segment)
-            return None
-        metas = self.gather(None, root=root)
-        acc: np.ndarray | None = None
-        for rank, meta in enumerate(metas):
-            if rank == root:
-                contribution, segment = arr, None
-            else:
-                segment, contribution = self._map(meta)
-            if acc is None:
-                acc = np.array(contribution, copy=True)
-            else:
-                acc = op(acc, contribution)
-            if segment is not None:
-                del contribution
-                segment.close()
-        self.barrier()
-        return acc
-
     # -- lifecycle ---------------------------------------------------------------
 
     def _prune_attached(self) -> None:
@@ -251,9 +208,8 @@ def run_spmd_shm(
     Identical contract to :func:`~repro.mpi.processes.run_spmd_processes`
     (fork start method, rank-ordered results, failures re-raised in the
     caller, the same per-rank ``blas_threads`` oversubscription cap) but
-    each rank receives a :class:`ShmComm`, so ``bcast_array`` and
-    ``reduce_array`` move numpy data through shared memory instead of
-    pickled queue payloads.
+    each rank receives a :class:`ShmComm`, so ``bcast_array`` moves numpy
+    data through shared memory instead of pickled queue payloads.
     """
     return run_spmd_processes(
         fn, size, timeout=timeout, comm_cls=ShmComm, blas_threads=blas_threads

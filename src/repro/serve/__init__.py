@@ -1,18 +1,18 @@
-"""Service tier: async sessions behind a load-balanced HTTP front-end.
+"""Service tier: resident sessions behind a load-balanced HTTP front-end.
 
 Three layers turn the library's resident worker pools into a service
 that answers many concurrent users — the ROADMAP's "heavy traffic"
 north-star on top of the paper's long-lived ``mpiexec`` allocation:
 
-1. **Async sessions** (:mod:`repro.mpi.session`) —
-   ``session.submit(...) -> JobFuture``; every session runs one dispatch
-   pipeline, so ``run()`` is just ``submit().result()``.
-2. **The pool manager** (:class:`PoolManager`) — owns N resident
-   sessions, load-balances jobs across them with a bounded admission
-   queue (reject-with-backpressure), per-job priorities, per-pool health
-   tracking with crash rerouting, and a shared content-addressed result
-   cache that answers repeated analyses from disk without touching a
-   pool.
+1. **Sessions** (:mod:`repro.mpi.session`) — ``session.run(...)``
+   runs one SPMD job at a time on the session's own thread; the caller
+   blocks until it completes.
+2. **The pool manager** (:class:`PoolManager`) — the one asynchronous
+   job queue: owns N resident sessions, load-balances jobs across them
+   with a bounded admission queue (reject-with-backpressure), per-job
+   priorities and cancellation, per-pool health tracking with crash
+   rerouting, and a shared content-addressed result cache that answers
+   repeated analyses from disk without touching a pool.
 3. **The HTTP front-end** (:func:`make_server` / ``repro-maxt serve``) —
    ``POST /v1/jobs`` + ``GET /v1/jobs/<id>`` plus ``/healthz`` and
    ``/statsz``, stdlib-only; :class:`ServiceClient` is the matching

@@ -3,10 +3,10 @@
 A :class:`JobSpec` is what a client asks for — a pmaxT or pcor analysis
 (or, internally, a raw SPMD callable) plus scheduling knobs — and a
 :class:`ServiceJob` is the manager's handle for one admitted spec: its
-lifecycle state, timing, placement and result.  The state machine mirrors
-:class:`~repro.mpi.session.JobFuture` (``queued -> running -> done |
-failed``, or ``queued -> cancelled``) with one service-only extra
-transition: a job whose pool crashed mid-run moves ``running -> queued``
+lifecycle state, timing, placement and result.  It is the only job state
+machine in the tree (a session just runs one job at a time): ``queued ->
+running -> done | failed``, or ``queued -> cancelled``, plus a crash
+reroute: a job whose pool crashed mid-run moves ``running -> queued``
 again so a healthy pool can rerun it (permutation results are
 deterministic, so a rerun is indistinguishable from a first run).
 """
@@ -21,16 +21,17 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from ..errors import CommunicatorError
-from ..mpi.session import (
-    _JOB_TERMINAL,
-    JOB_CANCELLED,
-    JOB_DONE,
-    JOB_FAILED,
-    JOB_QUEUED,
-    JOB_RUNNING,
-)
 
 __all__ = ["JobSpec", "ServiceJob"]
+
+#: Lifecycle states of a :class:`ServiceJob`.
+JOB_QUEUED = "queued"
+JOB_RUNNING = "running"
+JOB_DONE = "done"
+JOB_FAILED = "failed"
+JOB_CANCELLED = "cancelled"
+
+_JOB_TERMINAL = frozenset({JOB_DONE, JOB_FAILED, JOB_CANCELLED})
 
 #: Analysis kinds the service understands.
 JOB_KINDS = ("pmaxt", "pcor", "fn")
@@ -95,8 +96,9 @@ class ServiceJob:
     # -- consumption -------------------------------------------------------
 
     def cancel(self) -> bool:
-        """Withdraw the job if still queued; running jobs are not
-        interruptible (see :meth:`JobFuture.cancel`)."""
+        """Withdraw the job if still queued; a running SPMD job is not
+        interruptible (its collectives span every rank), so bound it with
+        ``JobSpec.timeout`` instead."""
         with self._cond:
             if self._state == JOB_QUEUED:
                 self._state = JOB_CANCELLED

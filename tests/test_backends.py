@@ -118,12 +118,12 @@ class TestRunBackend:
     @pytest.mark.parametrize("backend,ranks", MATRIX,
                              ids=[f"{b}-{r}" for b, r in MATRIX])
     def test_array_collectives_roundtrip(self, backend, ranks):
-        """bcast_array + reduce_array agree with the analytic answer."""
+        """bcast_array + reduce agree with the analytic answer."""
         def job(comm):
             arr = (np.arange(12, dtype=np.float64).reshape(3, 4)
                    if comm.is_master else None)
             data = comm.bcast_array(arr)
-            total = comm.reduce_array(data * (comm.rank + 1))
+            total = comm.reduce(data * (comm.rank + 1))
             return None if total is None else total
 
         results = run_backend(backend, job, ranks)
@@ -221,14 +221,14 @@ def _job_shm_small_wire_route(comm):
 
 def _job_shm_reduce_rank_order(comm):
     # Non-commutative op exposes accumulation order: rank order means
-    # ((r0 - r1) - r2) ... exactly like the generic gather-based reduce.
-    # Run both routes: a small vector (queue wire) and a big one (segments).
+    # ((r0 - r1) - r2) ..., the order every backend's reduce applies.
+    # Run a small vector and one past the shm broadcast threshold.
     from repro.mpi.comm import ReduceOp
 
     sub = ReduceOp("sub", lambda a, b: a - b)
-    small = comm.reduce_array(np.full(3, float(comm.rank + 1)), op=sub)
-    big = comm.reduce_array(np.full(_BIG[0] * _BIG[1],
-                                    float(comm.rank + 1)), op=sub)
+    small = comm.reduce(np.full(3, float(comm.rank + 1)), op=sub)
+    big = comm.reduce(np.full(_BIG[0] * _BIG[1], float(comm.rank + 1)),
+                      op=sub)
     if not comm.is_master:
         return None
     return float(small[0]), float(big[0])
@@ -247,30 +247,29 @@ def _job_shm_prune_dead_mappings(comm):
 
 def _job_shm_int_counts(comm):
     counts = np.full(5, comm.rank + 1, dtype=np.int64)
-    total = comm.reduce_array(counts)
+    total = comm.reduce(counts)
     return None if total is None else total
 
 
 # Forked ranks share the tracker the parent started, so a worker's
 # attach-then-untrack removes the segment name before its creator unlinks
-# it: the one-shot pmaxT covers bcast_array, the reduction reduce_array.
+# it: the one-shot pmaxT covers bcast_array, the published dataset the
+# session's dataset registry.
 _TRACKER_SCRIPT = """
 from multiprocessing import resource_tracker
 
 import numpy as np
 
 from repro import pmaxT
-from repro.mpi import run_spmd_shm
-
-
-def reduce_job(comm):
-    return comm.reduce_array(np.ones(1 << 16))  # 512 KiB: the shm route
-
+from repro.mpi import open_session
 
 resource_tracker.ensure_running()
 X = np.random.default_rng(0).normal(size=(2000, 40))
-pmaxT(X, np.repeat([0, 1], 20), B=100, backend="shm", ranks=2)
-assert run_spmd_shm(reduce_job, 2)[0][0] == 2.0
+labels = np.repeat([0, 1], 20)
+ref = pmaxT(X, labels, B=100, backend="shm", ranks=2)
+with open_session("shm", 2) as ses:
+    out = pmaxT(ses.publish(X, labels), B=100, session=ses)
+assert np.array_equal(out.adjp, ref.adjp)
 """
 
 
@@ -308,7 +307,7 @@ class TestShmWorld:
         results = run_spmd_shm(_job_shm_small_wire_route, 3)
         assert results == [120.0, 120.0, 120.0]
 
-    def test_reduce_applies_in_rank_order_on_both_routes(self):
+    def test_reduce_applies_in_rank_order(self):
         results = run_spmd_shm(_job_shm_reduce_rank_order, 3)
         assert results[0] == (-4.0, -4.0)
         assert results[1] is None and results[2] is None

@@ -9,16 +9,21 @@ The tentpole guarantees pinned here:
 * shared-memory segments never outlive ``close()``/GC (``/dev/shm``);
 * a killed or failed worker is detected and the pool respawned;
 * the dtype-aware ``bcast_array`` ships float32 wire for float32 runs;
-* the ephemeral fallback (``session=None``) preserves one-shot semantics.
+* the ephemeral fallback (``session=None``) preserves one-shot semantics;
+* jobs run one at a time on the session's own thread, never the caller's;
+* bad world options fail when the session opens, not in every job.
 """
 
 from __future__ import annotations
 
 import gc
 import glob
+import math
 import os
 import signal
+import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -46,7 +51,7 @@ def _job_pid(comm):
 def _job_collect(comm):
     arr = np.arange(12.0).reshape(3, 4) if comm.is_master else None
     data = comm.bcast_array(arr)
-    total = comm.reduce_array(data * (comm.rank + 1))
+    total = comm.reduce(data * (comm.rank + 1))
     return None if total is None else float(total.sum())
 
 
@@ -162,6 +167,40 @@ class TestOpenSession:
         with pytest.raises(OptionError, match="blas_threads"):
             open_session("shm", 2, blas_threads=-1)
 
+    @pytest.mark.parametrize("backend", ["threads", "shm"])
+    @pytest.mark.parametrize("option,value", [
+        ("job_timeout", -1), ("job_timeout", 0), ("job_timeout", -5.0),
+        ("job_timeout", math.nan), ("job_timeout", math.inf),
+        ("job_timeout", True), ("job_timeout", "30"),
+        ("idle_timeout", -1), ("idle_timeout", math.nan),
+        ("idle_timeout", math.inf),
+        ("blas_threads", 2.7), ("blas_threads", True), ("blas_threads", "2"),
+    ])
+    def test_bad_world_options_fail_at_open(self, backend, option, value):
+        # At open, on every backend, and before any job: a bad timeout
+        # used to surface as a "timed out" failure of every job (or, for
+        # nan, silently remove the deadline).
+        with pytest.raises(OptionError, match=option):
+            open_session(backend, 2, **{option: value})
+
+    @pytest.mark.parametrize("option,value", [
+        ("job_timeout", 0.5), ("job_timeout", 30), ("idle_timeout", 0),
+        ("idle_timeout", 2.5), ("blas_threads", 0),
+        ("blas_threads", np.int64(1)),
+    ])
+    def test_good_world_options_accepted(self, option, value):
+        with open_session("shm", 2, **{option: value}) as ses:
+            assert ses.run(_job_pid)[0] == (0, os.getpid())
+
+    def test_pool_manager_and_cli_reject_bad_timeouts(self, capsys):
+        from repro.cli import main
+        from repro.serve import PoolManager
+
+        with pytest.raises(OptionError, match="job_timeout"):
+            PoolManager("threads", 1, pools=1, job_timeout=0)
+        assert main(["serve", "--port", "0", "--job-timeout", "-5"]) == 2
+        assert "job_timeout" in capsys.readouterr().err
+
     def test_closed_session_refuses_jobs(self):
         ses = open_session("shm", 2)
         ses.run(_job_pid)
@@ -170,6 +209,75 @@ class TestOpenSession:
         assert ses.closed
         with pytest.raises(CommunicatorError, match="closed"):
             ses.run(_job_pid)
+
+
+def _job_boom(comm):
+    raise ValueError("intentional job failure")
+
+
+class TestSessionThread:
+    """One thread per session runs every job, one at a time."""
+
+    @pytest.mark.parametrize("backend,ranks",
+                             [("serial", 1), ("threads", 2), ("shm", 2)])
+    def test_concurrent_runs_never_overlap(self, backend, ranks):
+        intervals, errors = [], []
+        record = threading.Lock()
+
+        def rank0(comm):
+            if comm.rank == 0:
+                enter = time.monotonic()
+                time.sleep(0.05)
+                with record:
+                    intervals.append((enter, time.monotonic()))
+            return comm.rank
+
+        def caller(ses):
+            try:
+                assert ses.run(rank0, worker_fn=_job_pid)[0] == 0
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        with open_session(backend, ranks) as ses:
+            callers = [threading.Thread(target=caller, args=(ses,))
+                       for _ in range(4)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        assert not any(t.is_alive() for t in callers)
+        assert not errors
+        assert len(intervals) == 4
+        intervals.sort()
+        for (_, exit_), (enter, _) in zip(intervals, intervals[1:]):
+            assert exit_ <= enter
+
+    @pytest.mark.parametrize("backend,ranks",
+                             [("serial", 1), ("threads", 2), ("shm", 2)])
+    def test_rank0_runs_off_the_callers_thread(self, backend, ranks):
+        def rank0_thread(comm):
+            return threading.current_thread() if comm.rank == 0 else None
+
+        with open_session(backend, ranks) as ses:
+            first = ses.run(rank0_thread, worker_fn=_job_pid)[0]
+            second = ses.run(rank0_thread, worker_fn=_job_pid)[0]
+        assert first is not threading.current_thread()
+        if backend != "threads":  # the thread world spawns its own ranks
+            assert first is second
+            assert first.name.startswith("session")
+
+    def test_close_joins_the_session_thread(self):
+        ses = open_session("serial", 1)
+        thread = ses.run(lambda comm: threading.current_thread())[0]
+        assert thread.is_alive()
+        ses.close()
+        assert not thread.is_alive()
+
+    def test_failure_does_not_poison_the_session(self):
+        with open_session("serial", 1) as ses:
+            with pytest.raises(ValueError, match="intentional"):
+                ses.run(_job_boom)
+            assert ses.run(_job_pid) == [(0, os.getpid())]
 
 
 class TestWarmReuse:
@@ -222,6 +330,13 @@ class TestWarmReuse:
             np.testing.assert_array_equal(serial.rawp, result.rawp)
             np.testing.assert_array_equal(serial.adjp, result.adjp)
             assert result.nranks == 4
+
+    def test_pmaxt_timeout_plumbs_through(self, dataset):
+        X, y = dataset
+        with open_session("threads", 2) as ses:
+            out = pmaxT(X, y, B=100, session=ses, timeout=120)
+        ref = pmaxT(X, y, B=100)
+        assert np.array_equal(out.adjp, ref.adjp)
 
     def test_threads_session_pmaxt_matches_serial(self, dataset):
         X, labels = dataset
@@ -289,6 +404,26 @@ class TestLifecycle:
         pids = ses.worker_pids()
         del ses
         gc.collect()
+        assert _wait_pids_dead(pids)
+
+    @pytest.mark.parametrize("backend,ranks",
+                             [("serial", 1), ("processes", 2)])
+    def test_gc_collects_an_unclosed_session_and_its_thread(self, backend,
+                                                           ranks):
+        # The session thread holds no reference to the session: an
+        # abandoned session is still collected, its thread exits and its
+        # pool workers are reaped.
+        ses = open_session(backend, ranks)
+        thread = ses.run(lambda comm: threading.current_thread()
+                         if comm.rank == 0 else None,
+                         worker_fn=_job_pid)[0]
+        pids = ses.worker_pids()
+        ref = weakref.ref(ses)
+        del ses
+        gc.collect()
+        assert ref() is None
+        thread.join(timeout=10)
+        assert not thread.is_alive()
         assert _wait_pids_dead(pids)
 
     def test_failed_broadcast_leaves_no_shm_segments(self):
