@@ -117,10 +117,12 @@ def result_cache_key(dataset_fp: str, options: MaxTOptions) -> str:
     ``chunk_size`` and ``complete_limit`` are excluded deliberately:
     counts are chunking-invariant (pinned by the cross-backend tests)
     and the enumeration decision they influence is captured by
-    ``complete``/``nperm``.
+    ``complete``/``nperm``.  The version tag moves whenever the bits of
+    the observed statistics do (v2: scored through a 2-column GEMM), so an
+    older entry is never extended or served.
     """
     payload = (
-        "maxt-cache-v1", dataset_fp, options.test, options.side,
+        "maxt-cache-v2", dataset_fp, options.test, options.side,
         options.fixed_seed_sampling, options.na, options.nonpara,
         options.seed, options.dtype, options.complete, options.store,
     )

@@ -63,6 +63,7 @@ import numpy as np
 
 from ..errors import DataError, OptionError
 from ..mpi import Communicator, SUM, SerialComm
+from ..mpi.blasctl import blas_thread_limit
 from ..mpi.datasets import PublishedDataset, attach_published_view
 from ..mpi.session import BackendSession, resident_cache
 from ..permute import DEFAULT_COMPLETE_LIMIT, DEFAULT_SEED, StoredPermutations
@@ -673,13 +674,15 @@ def _pmaxt_run(
     (default) or ``"float32"`` (~2x BLAS throughput at ~1e-5 relative
     accuracy; the kernel's tie tolerance widens accordingly).
 
-    ``blas_threads`` caps each rank's BLAS threadpool.  The
-    ``processes``/``shm`` worker bootstrap already auto-caps at
-    ``max(1, cores // ranks)`` (the oversubscription fix); pass an
-    explicit value to override it, or ``0`` to disable capping.  On the
+    ``blas_threads`` caps each rank's BLAS threadpool.  Launched worlds
+    already cap each rank at ``max(1, cores // ranks)`` (the
+    oversubscription fix, see :mod:`repro.mpi.blasctl`); pass an explicit
+    value to override it, or ``0`` to disable capping.  On the
     ``backend=``/``ranks=`` path the cap is scoped to the launched world;
-    on the ``comm=`` (user-managed SPMD) path it caps the calling rank's
-    own pool and persists for that rank's lifetime.
+    on the ``comm=`` (user-managed SPMD) path and a plain serial call it
+    caps the calling rank's own pool while it computes, and the earlier
+    budget comes back when the call returns.  Answers are the same under
+    any cap.
 
     ``checkpoint_dir`` enables the fault-tolerance extension (paper
     future-work item 1): the master persists the ledger's covered ranges
@@ -729,12 +732,6 @@ def _pmaxt_run(
         raise OptionError(
             f"blas_threads must be >= 0 (0 disables capping), "
             f"got {blas_threads}")
-    if blas_threads is not None and blas_threads != 0:
-        # SPMD path (or plain serial call): cap this rank's own pool.  The
-        # backend=/ranks= path above handles capping via launch_master.
-        from ..mpi.blasctl import set_blas_threads
-
-        set_blas_threads(blas_threads)
     master = comm.is_master
     timer = SectionTimer()
 
@@ -834,7 +831,9 @@ def _pmaxt_run(
             raise DataError("not all ranks completed data creation")
 
     # -- Step 4: this rank's blocks under the master's ledger ---------------
-    with timer.section("main_kernel"):
+    # Every GEMM runs here, so this rank's own cap (blas_threads= on the
+    # comm= path or a plain serial call) is leased for this step only.
+    with timer.section("main_kernel"), blas_thread_limit(blas_threads or None):
         stat = build_statistic(options, data, labels, pre_ranked=pre_ranked)
         observed = compute_observed(stat, options.side)
         if master and expected is not None and not np.array_equal(

@@ -280,10 +280,13 @@ def open_session(
     the session sweeps it once more on close.
 
     ``blas_threads`` fixes the per-rank BLAS policy for the session's
-    lifetime; ``idle_timeout`` tears a persistent pool down after that
-    many idle seconds (transparently respawned by the next call);
-    ``job_timeout`` bounds each job's collectives and result collection.
-    Each is ``None`` (the default) or in range — a positive finite
+    lifetime: ``None`` caps each rank at ``max(1, cores // ranks)`` (never
+    above the budget in force), ``0`` leaves the pools alone, and a
+    number caps at that; in-process sessions lease the cap from the
+    caller's pool for each job.  ``idle_timeout`` tears a persistent pool
+    down after that many idle seconds (transparently respawned by the
+    next call); ``job_timeout`` bounds each job's collectives and result
+    collection.  Each is ``None`` (the default) or in range — a positive finite
     ``job_timeout``, a non-negative finite ``idle_timeout``, an integer
     ``blas_threads`` >= 0 — or :class:`~repro.errors.OptionError` is
     raised here, before any job runs.
@@ -339,12 +342,13 @@ def launch_master(
     take every input from the master's broadcasts).
 
     ``blas_threads`` caps each rank's BLAS threadpool for the duration of
-    the world (``0`` disables capping).  The ``processes``/``shm`` worker
-    bootstrap applies an automatic ``max(1, cores // ranks)`` cap even
-    without it; an explicit value also covers the in-process backends,
-    whose shared pool is restored once the world completes.  A session
-    fixes the policy when it is opened, so combining ``session=`` with
-    ``blas_threads=`` is rejected.
+    the world (``0`` disables capping).  Without it every world, in-process
+    or not, caps each rank at ``max(1, cores // ranks)``, never above the
+    budget already in force (:func:`~repro.mpi.blasctl.rank_cap`).  The
+    ranks of an in-process world share the caller's pool, which gets its
+    earlier budget back once the world completes, even when other worlds
+    overlap it.  A session fixes the policy when it is opened, so
+    combining ``session=`` with ``blas_threads=`` is rejected.
 
     ``timeout`` bounds the job's execution in seconds (collectives and
     result collection) on either launch path; expiry raises

@@ -13,17 +13,19 @@ plain :mod:`ctypes` against the OpenBLAS build NumPy bundles (including the
 ``scipy-openblas`` symbol-prefixed wheels), falling back to environment
 variables for any BLAS loaded later.  Everything degrades to a no-op when
 no controllable BLAS is found — correctness never depends on this module,
-only throughput.
+only throughput.  Answers do not depend on the cap either
+(:meth:`repro.stats.base.TestStatistic.observed`).
 
-Used by:
+One policy, :func:`rank_cap`, covers every world: ``blas_threads=None``
+caps each rank at ``max(1, cores // ranks)`` but never above the budget in
+force, ``0`` leaves the pool alone, and an explicit value wins.  A
+``processes``/``shm`` worker applies it for life (:func:`apply_worker_cap`);
+a persistent pool's master and every in-process world lease it for the job
+(:func:`blas_thread_limit`).  Overlapping leases from different threads
+form a multiset: the pool runs at the smallest active cap, and the budget
+from before the first lease returns when the last one ends.
 
-* the ``processes``/``shm`` worker bootstrap
-  (:func:`repro.mpi.processes.run_spmd_processes`), which auto-caps each
-  rank to ``max(1, cores // ranks)`` threads;
-* :func:`repro.mpi.backends.launch_master`, which exposes an explicit
-  ``blas_threads=`` override on ``pmaxT``/``pcor``/the CLI.
-
-A rank keeps that cap for its whole job.  The ledger scheduler
+A rank keeps its cap for its whole job.  The ledger scheduler
 (:mod:`repro.core.steal`) does not widen a rank's pool when its peers go
 idle.  On a 2-core host, widening the first rank to finish its share
 oversubscribed the CPUs while the other rank was still busy, and it made
@@ -35,6 +37,8 @@ from __future__ import annotations
 import ctypes
 import glob
 import os
+import threading
+from collections import Counter
 from contextlib import contextmanager
 
 __all__ = [
@@ -44,6 +48,7 @@ __all__ = [
     "set_blas_threads",
     "blas_thread_limit",
     "recommended_blas_threads",
+    "rank_cap",
     "apply_worker_cap",
     "worker_cap_override",
 ]
@@ -162,15 +167,56 @@ def set_blas_threads(n: int) -> int | None:
     return previous
 
 
+_lease_lock = threading.Lock()
+#: Active leases (cap -> holders) and the budget from before the first.
+_leases: Counter = Counter()
+_base_budget: int | None = None
+
+
 @contextmanager
-def blas_thread_limit(n: int):
-    """Context manager: cap the BLAS pool at ``n``, restore on exit."""
-    previous = set_blas_threads(n)
+def blas_thread_limit(n: int | None):
+    """Lease a cap of ``n`` BLAS threads for the ``with`` block.
+
+    The pool runs at the smallest cap any lease holds; the last lease to
+    end restores the budget from before the first.  ``None`` leaves the
+    pool alone.
+    """
+    global _base_budget
+    if n is None:
+        yield
+        return
+    n = int(n)
+    if n < 1:
+        raise ValueError(f"blas_threads must be >= 1, got {n}")
+    with _lease_lock:
+        if not _leases:
+            _base_budget = get_blas_threads()
+        _leases[n] += 1
+        set_blas_threads(min(_leases))
     try:
         yield
     finally:
-        if previous is not None:
-            set_blas_threads(previous)
+        with _lease_lock:
+            _leases[n] -= 1
+            if not _leases[n]:
+                del _leases[n]
+            if _leases:
+                set_blas_threads(min(_leases))
+            elif _base_budget is not None:
+                set_blas_threads(_base_budget)
+
+
+def _forget_leases() -> None:
+    """Fork hook: a child starts unleased, with a fresh lock."""
+    global _lease_lock
+    _lease_lock = threading.Lock()
+    if _leases:
+        _leases.clear()
+        if _base_budget is not None:
+            set_blas_threads(_base_budget)
+
+
+os.register_at_fork(after_in_child=_forget_leases)
 
 
 def effective_cpu_count() -> int:
@@ -215,37 +261,47 @@ def worker_cap_override(blas_threads: int):
             os.environ[_CAP_ENV_VAR] = previous
 
 
+def rank_cap(ranks: int, blas_threads: int | None) -> int | None:
+    """The BLAS cap of one rank in a ``ranks``-rank world, ``None`` = no cap.
+
+    ``0`` leaves the pool alone and an explicit value wins.  ``None`` is
+    the automatic ``max(1, cores // ranks)``, which may only lower the
+    budget in force: the pool's own from before any lease, or a stricter
+    ``*_NUM_THREADS`` limit exported by the user or a scheduler (e.g.
+    ``OPENBLAS_NUM_THREADS=1`` on a shared node).
+    """
+    if blas_threads is not None:
+        return int(blas_threads) or None
+    with _lease_lock:
+        budget = _base_budget if _leases else get_blas_threads()
+    cap = recommended_blas_threads(ranks)
+    if budget:
+        cap = min(cap, budget)
+    for var in _THREAD_ENV_VARS:
+        try:
+            existing = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if existing > 0:
+            cap = min(cap, existing)
+    return cap
+
+
 def apply_worker_cap(world_size: int, blas_threads: int | None) -> None:
     """Bootstrap hook run inside each ``processes``/``shm`` worker.
 
-    ``None`` defers to the :func:`worker_cap_override` environment policy
-    if one is set, else applies the automatic
-    ``max(1, cores // world_size)`` cap — the oversubscription fix.
-    ``0`` disables capping entirely (restoring the pre-fix behaviour for
-    measurement).  Workers are throwaway processes, so exporting the
-    ``*_NUM_THREADS`` variables here cannot leak into the parent.
+    Applies :func:`rank_cap` for the worker's lifetime; ``None`` first
+    defers to a :func:`worker_cap_override` policy if one is set.
+    Workers are throwaway processes, so exporting the ``*_NUM_THREADS``
+    variables here cannot leak into the parent.
     """
     if blas_threads is None:
         env = os.environ.get(_CAP_ENV_VAR)
         if env:
             blas_threads = int(env)
-    if blas_threads == 0:
+    cap = rank_cap(world_size, blas_threads)
+    if cap is None:
         return
-    if blas_threads is None:
-        # Automatic mode must only ever *lower* the budget: a stricter
-        # limit already exported by the user or a scheduler
-        # (e.g. OPENBLAS_NUM_THREADS=1 on a shared node) wins over the
-        # cores-per-rank heuristic.
-        cap = recommended_blas_threads(world_size)
-        for var in _THREAD_ENV_VARS:
-            try:
-                existing = int(os.environ.get(var, ""))
-            except ValueError:
-                continue
-            if existing > 0:
-                cap = min(cap, existing)
-    else:
-        cap = int(blas_threads)
     for var in _THREAD_ENV_VARS:
         os.environ[var] = str(cap)
     set_blas_threads(cap)

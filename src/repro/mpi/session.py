@@ -81,6 +81,8 @@ from numbers import Integral, Real
 from typing import Any, Callable
 
 from ..errors import CommunicatorError, OptionError, WorkerDeadError
+from .blasctl import (apply_worker_cap, blas_thread_limit, rank_cap,
+                      worker_cap_override)
 from .comm import Communicator
 from .processes import _DEFAULT_TIMEOUT, _join_or_kill, ProcessComm
 
@@ -419,17 +421,13 @@ class EphemeralSession(BackendSession):
 
     def _run_capped(self, job: SpmdFunction, timeout: float | None) -> list[Any]:
         backend, ranks, blas = self._backend, self._ranks, self._blas_threads
+        if backend.in_process:
+            # The ranks share this process's pool: lease the world's cap
+            # for the job.
+            with blas_thread_limit(rank_cap(ranks, blas)):
+                return backend.run(job, ranks, timeout=timeout)
         if blas is None:
             return backend.run(job, ranks, timeout=timeout)
-        from .blasctl import blas_thread_limit, worker_cap_override
-
-        if backend.in_process:
-            # One shared pool: cap for the world's duration, restore after
-            # (0 means "leave the pool alone", already the case here).
-            if blas == 0:
-                return backend.run(job, ranks, timeout=timeout)
-            with blas_thread_limit(blas):
-                return backend.run(job, ranks, timeout=timeout)
         # Process-type world: the per-rank policy (including 0 = uncapped)
         # must reach the worker *bootstrap*, which runs before the job;
         # ship it through the environment the forked children inherit.
@@ -450,8 +448,6 @@ def _pool_worker(
     start_opseq=0,
 ):  # pragma: no cover - runs in the child process
     """Resident worker main: serve job frames until stopped or orphaned."""
-    from .blasctl import apply_worker_cap
-
     apply_worker_cap(size, blas_threads)
     # The resident per-rank cache (see resident_cache()): created once per
     # pool incarnation, shared by every job this worker serves.
@@ -788,17 +784,8 @@ class WorkerPoolSession(BackendSession):
         return results
 
     def _run_master(self, fn: SpmdFunction) -> Any:
-        cap = self._blas_threads
-        if cap is None:
-            from .blasctl import recommended_blas_threads
-
-            cap = recommended_blas_threads(self._ranks)
-        with _cache_scope(self._master_cache):
-            if cap and cap > 0:
-                from .blasctl import blas_thread_limit
-
-                with blas_thread_limit(cap):
-                    return fn(self._master_comm)
+        with _cache_scope(self._master_cache), blas_thread_limit(
+                rank_cap(self._ranks, self._blas_threads)):
             return fn(self._master_comm)
 
     def _take_result(self, deadline: float) -> tuple:

@@ -168,3 +168,142 @@ class TestLaunchMaster:
         X = rng.normal(size=(20, 8))
         np.testing.assert_array_equal(
             cor(X), pcor(X, backend="threads", ranks=2, blas_threads=1))
+
+
+class TestLeases:
+    """Overlapping caps: the smallest holds, the original budget returns."""
+
+    def test_smallest_active_cap_holds_the_pool(self):
+        if not blas_available():
+            pytest.skip("no controllable BLAS in this build")
+        before = get_blas_threads()
+        narrow, wide = blas_thread_limit(1), blas_thread_limit(3)
+        narrow.__enter__()
+        wide.__enter__()
+        assert get_blas_threads() == 1
+        narrow.__exit__(None, None, None)   # the narrower lease ends first
+        assert get_blas_threads() == 3
+        wide.__exit__(None, None, None)
+        assert get_blas_threads() == before
+
+    def test_none_leaves_the_pool_alone(self):
+        before = get_blas_threads()
+        with blas_thread_limit(None):
+            assert get_blas_threads() == before
+
+    def test_forked_worker_holds_no_parent_lease(self):
+        """A worker forked inside a lease starts from the unleased budget."""
+        if not blas_available():
+            pytest.skip("no controllable BLAS in this build")
+        base = get_blas_threads()
+        with blas_thread_limit(1):
+            budgets = run_spmd_processes(_worker_budget, 1, blas_threads=0)
+        assert budgets == [base]
+
+
+def _wide_budget():
+    """A lease wider than one thread, so a leaked cap of 1 shows."""
+    return blas_thread_limit(max(2, get_blas_threads() or 2))
+
+
+class TestScopedCaps:
+    @pytest.fixture
+    def data(self):
+        rng = np.random.default_rng(5)
+        return rng.normal(size=(300, 12)), np.array([0] * 6 + [1] * 6)
+
+    @pytest.mark.parametrize("path", ["serial", "comm"])
+    def test_rank_cap_ends_with_the_call(self, data, monkeypatch, path):
+        """``blas_threads=`` on a serial or ``comm=`` call is not kept."""
+        if not blas_available():
+            pytest.skip("no controllable BLAS in this build")
+        import repro.core.pmaxt as pmaxt_module
+        from repro import pmaxT
+        from repro.mpi import SerialComm
+
+        seen = []
+        real = pmaxt_module.run_kernel
+
+        def kernel(*args, **kwargs):
+            seen.append(get_blas_threads())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pmaxt_module, "run_kernel", kernel)
+        X, y = data
+        comm = SerialComm() if path == "comm" else None
+        with _wide_budget():
+            budget = get_blas_threads()
+            pmaxT(X, y, B=20, blas_threads=1, comm=comm)
+            assert get_blas_threads() == budget
+        assert seen and set(seen) == {1}
+
+    def test_in_process_world_default_cap(self):
+        if not blas_available():
+            pytest.skip("no controllable BLAS in this build")
+        with _wide_budget():
+            budget = get_blas_threads()
+            inside = launch_master("threads", 2,
+                                   lambda comm: get_blas_threads())
+            assert inside == min(budget, recommended_blas_threads(2))
+            assert get_blas_threads() == budget
+
+    def test_default_cap_never_raises_the_budget(self):
+        if not blas_available():
+            pytest.skip("no controllable BLAS in this build")
+        with blas_thread_limit(1):
+            assert launch_master("threads", 1,
+                                 lambda comm: get_blas_threads()) == 1
+
+    def test_zero_leaves_an_in_process_world_alone(self):
+        if not blas_available():
+            pytest.skip("no controllable BLAS in this build")
+        with _wide_budget():
+            budget = get_blas_threads()
+            assert launch_master("threads", 2,
+                                 lambda comm: get_blas_threads(),
+                                 blas_threads=0) == budget
+
+    @pytest.mark.parametrize("blas_threads", [1, None],
+                             ids=["explicit", "default"])
+    def test_overlapping_worlds_restore_the_budget(self, blas_threads):
+        """World A starts first and ends first; B ends after A returned."""
+        if not blas_available():
+            pytest.skip("no controllable BLAS in this build")
+        import threading
+
+        a_inside, b_inside, a_done = (threading.Event() for _ in range(3))
+        errors = []
+
+        def world_a(comm):
+            if comm.rank == 0:
+                a_inside.set()
+                assert b_inside.wait(30)
+
+        def world_b(comm):
+            if comm.rank == 0:
+                b_inside.set()
+                assert a_done.wait(30)
+
+        def launch(fn, before=None, after=None):
+            try:
+                if before is not None:
+                    assert before.wait(30)
+                launch_master("threads", 2, fn, blas_threads=blas_threads)
+            except BaseException as exc:  # pragma: no cover - surfaced below
+                errors.append(exc)
+            finally:
+                if after is not None:
+                    after.set()
+
+        with _wide_budget():
+            budget = get_blas_threads()
+            threads = [
+                threading.Thread(target=launch, args=(world_a, None, a_done)),
+                threading.Thread(target=launch, args=(world_b, a_inside)),
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            assert not errors
+            assert get_blas_threads() == budget

@@ -120,9 +120,9 @@ class TestGoldenFingerprints:
         o64 = validate_options(self.y, dtype="float64", **self.OPTS)
         o32 = validate_options(self.y, dtype="float32", **self.OPTS)
         assert result_cache_key(fp, o64) == (
-            "1cf466f0c619803dc806e1bdd6af149448646006793f79a16dae2958ffe898f9")
+            "583e64ee8f46afe84d06821f07a9a984975b423fbee03b89beb048290767cab9")
         assert result_cache_key(fp, o32) == (
-            "6ea3b1eeea59a1685c872d9ae871bf25498677e4a10ba7a3d4bb90e1203b2c25")
+            "e2848491687bfa85ada6babff1ea004af380b5f3553931cb9eae8ae9d3563c70")
 
 
 class TestStore:

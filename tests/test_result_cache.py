@@ -12,6 +12,8 @@ The headline claims pinned here:
   shares across ones that don't (``B`` is an extension axis, not a key).
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -191,6 +193,33 @@ class TestKeying:
         assert h.fingerprint == dataset_fingerprint(
             np.ascontiguousarray(X), np.asarray(y, dtype=np.int64))
         registry.close()
+
+
+class TestFormatVersion:
+    def test_v1_entry_is_neither_extended_nor_served(self, dataset,
+                                                     tmp_path):
+        """Entries keyed before the observed-statistic bits moved (v1).
+
+        Their ``teststat`` may differ from this version's in the last bit,
+        so requests for B and 2B must both run cold.
+        """
+        X, y = dataset
+        options = validate_options(y, B=200, seed=7)
+        payload = (
+            "maxt-cache-v1", dataset_fingerprint(X, y), options.test,
+            options.side, options.fixed_seed_sampling, options.na,
+            options.nonpara, options.seed, options.dtype, options.complete,
+            options.store,
+        )
+        v1_key = hashlib.sha256(repr(payload).encode()).hexdigest()
+        old = pmaxT(X, y, B=200, seed=7)
+        stale = np.nextafter(old.teststat, np.inf)
+        cache = ResultCache(tmp_path / "cache")
+        cache.save(v1_key, 200, stale, old.counts, {"nranks": 1})
+        cache_dir = str(tmp_path / "cache")
+        _same(pmaxT(X, y, B=400, seed=7, cache_dir=cache_dir),
+              pmaxT(X, y, B=400, seed=7))
+        _same(pmaxT(X, y, B=200, seed=7, cache_dir=cache_dir), old)
 
 
 class TestStore:
