@@ -58,7 +58,7 @@ from .na import MT_NA_NUM, row_ranks, to_nan, valid_mask
 
 __all__ = ["TestStatistic", "TwoSampleMoments", "WorkBuffers",
            "COMPUTE_DTYPES", "ROW_BLOCK_ELEMENTS", "class_member_counts",
-           "gemm_operand", "row_block", "two_class_counts",
+           "gemm_operand", "mask_undefined", "row_block", "two_class_counts",
            "two_class_operands"]
 
 #: The supported compute dtypes for the statistic kernels.
@@ -105,12 +105,18 @@ def class_member_counts(V, G, work: "WorkBuffers", key: str, dtype):
     row is all ones, so the counts collapse to the column sums of ``G``,
     one broadcastable ``(1, nb)`` row.  Both forms sum the same exact
     small integers in float, so the shortcut is bit-transparent while
-    removing a whole GEMM from the batch.  ``dtype`` is the compute dtype.
+    removing a whole GEMM from the batch.  When every encoding of the
+    batch has the same count (label shuffles keep the class sizes), a
+    host pool returns the row's ``(1, 1)`` leading view instead: the
+    arithmetic then broadcasts one scalar, the same IEEE operation on
+    the same operand.  ``dtype`` is the compute dtype.
     """
     xp = work.xp
     if V is None:
         out = work.take(key, (1, G.shape[1]), dtype)
         xp.sum(G, axis=0, dtype=dtype, out=out[0])
+        if xp is np and out.min() == out.max():
+            return out[:, :1]
         return out
     return xp.matmul(V, G, out=work.take(key, (V.shape[0], G.shape[1]),
                                          dtype))
@@ -129,8 +135,10 @@ def two_class_operands(encodings, work: "WorkBuffers", dtype,
 
     ``G`` is the float ``(n, nb)`` label block.  On fully-valid data the
     class member counts are the same for every row, so they are formed
-    here once per batch as ``(1, nb)`` rows; otherwise they are ``None``
-    and :func:`two_class_counts` forms them per row block.
+    here once per batch as ``(1, nb)`` rows, or ``(1, 1)`` scalars when
+    every encoding has the same class sizes (see
+    :func:`class_member_counts`); otherwise they are ``None`` and
+    :func:`two_class_counts` forms them per row block.
     """
     dtype = np.dtype(dtype)
     G = gemm_operand(encodings, work, dtype)
@@ -147,8 +155,9 @@ def two_class_operands(encodings, work: "WorkBuffers", dtype,
 def two_class_counts(operands, mask, n_valid, lo: int, hi: int,
                      work: "WorkBuffers", dtype):
     """Both classes' member counts ``(N1, N0)`` for rows ``[lo, hi)``:
-    the batch's ``(1, nb)`` rows on fully-valid data, else the mask GEMM
-    ``mask @ G`` and ``n_valid - N1`` over the block."""
+    the batch's ``(1, nb)`` rows or ``(1, 1)`` scalars on fully-valid
+    data, else the mask GEMM ``mask @ G`` and ``n_valid - N1`` over the
+    block."""
     G, N1, N0 = operands
     if N1 is None:
         N1 = class_member_counts(work.constant(mask)[lo:hi], G, work, "N1",
@@ -156,6 +165,21 @@ def two_class_counts(operands, mask, n_valid, lo: int, hi: int,
         N0 = work.xp.subtract(work.constant(n_valid)[lo:hi, None], N1,
                               out=work.take("N0", N1.shape, dtype))
     return N1, N0
+
+
+def mask_undefined(values, scale, N1, N0, least: int, work: "WorkBuffers"):
+    """Set ``values`` to NaN where ``scale`` is zero or either class has
+    fewer than ``least`` members; returns ``values``.  A broadcast count
+    row or scalar with no small class is not OR-ed into the block mask."""
+    xp = work.xp
+    small = xp.less(N1, least, out=work.take("bad1", N1.shape, bool))
+    xp.logical_or(small, xp.less(N0, least, out=work.take(
+        "bad2", N0.shape, bool)), out=small)
+    bad = xp.equal(scale, 0.0, out=work.take("bad3", values.shape, bool))
+    if tuple(small.shape) == tuple(bad.shape) or small.any():
+        xp.logical_or(bad, small, out=bad)
+    values[bad] = np.nan
+    return values
 
 
 class WorkBuffers:
@@ -492,8 +516,9 @@ class TwoSampleMoments:
         """Both classes' moments for rows ``[lo, hi)`` of the batch
         :func:`two_class_operands` prepared: ``(N1, S1, Q1, N0, S0, Q0)``.
 
-        ``N0``/``N1`` are ``(1, nb)`` rows on fully-valid data; they
-        broadcast transparently through the statistic arithmetic.
+        ``N0``/``N1`` are ``(1, nb)`` rows or ``(1, 1)`` scalars on
+        fully-valid data; they broadcast transparently through the
+        statistic arithmetic.
         """
         xp = work.xp
         dtype = self.Xz.dtype

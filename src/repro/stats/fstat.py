@@ -90,14 +90,15 @@ class FStat(TestStatistic):
                 Nj = class_member_counts(mask, Gj, work, "Nj", dt)
             Sj = xp.matmul(Xz, Gj, out=work.take("Sj", shape, dt))
             empty = xp.equal(Nj, 0.0, out=work.take("empty", Nj.shape, bool))
-            xp.logical_or(broken, empty, out=broken)
             with xp.errstate(invalid="ignore", divide="ignore"):
                 xp.multiply(Sj, Sj, out=Sj)
                 contrib = xp.divide(Sj, Nj, out=Sj)
             if tuple(empty.shape) == tuple(contrib.shape):
+                xp.logical_or(broken, empty, out=broken)
                 contrib[empty] = 0.0
-            else:                           # (1, nb) count row: mask columns
-                contrib[:, empty[0]] = 0.0
+            elif empty.any():   # (1, nb) row or (1, 1) scalar: mask columns
+                xp.logical_or(broken, empty, out=broken)
+                contrib[:, slice(None) if empty.size == 1 else empty[0]] = 0.0
             between_raw += contrib
         gg = work.constant(self._gg)[lo:hi, None]
         ss_between = xp.subtract(between_raw, gg, out=between_raw)

@@ -15,7 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DataError
-from .base import TestStatistic, TwoSampleMoments, two_class_operands
+from .base import (TestStatistic, TwoSampleMoments, mask_undefined,
+                   two_class_operands)
 
 __all__ = ["WelchT"]
 
@@ -45,8 +46,9 @@ class WelchT(TestStatistic):
         # mean_j = S_j / N_j; var_j = (Q_j - S_j mean_j) / (N_j - 1);
         # t = (mean1 - mean0) / sqrt(var1/N1 + var0/N0), routed through
         # pooled buffers (S_j is consumed by the variance product, Q_j
-        # becomes the variance in place).  N1/N0 may be (1, nb) rows on
-        # fully-valid data; their derived scratch broadcasts.
+        # becomes the variance in place).  N1/N0 may be (1, nb) rows or
+        # (1, 1) scalars on fully-valid data; their derived scratch
+        # broadcasts.
         xp = work.xp
         N1, S1, Q1, N0, S0, Q0 = self._moments.split(operands, lo, hi,
                                                       work)
@@ -71,10 +73,4 @@ class WelchT(TestStatistic):
         se = xp.sqrt(var1, out=var1)
         xp.subtract(mean1, mean0, out=mean1)
         t = xp.divide(mean1, se, out=mean1)
-        b1 = xp.less(N1, 2, out=work.take("bad1", N1.shape, bool))
-        b2 = xp.less(N0, 2, out=work.take("bad2", N0.shape, bool))
-        xp.logical_or(b1, b2, out=b1)
-        b3 = xp.equal(se, 0.0, out=work.take("bad3", t.shape, bool))
-        bad = xp.logical_or(b3, b1, out=b3)
-        t[bad] = np.nan
-        return t
+        return mask_undefined(t, se, N1, N0, 2, work)

@@ -20,7 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DataError
-from .base import TestStatistic, two_class_counts, two_class_operands
+from .base import (TestStatistic, mask_undefined, two_class_counts,
+                   two_class_operands)
 from .na import row_ranks, valid_mask
 
 __all__ = ["Wilcoxon"]
@@ -63,7 +64,9 @@ class Wilcoxon(TestStatistic):
 
     def score_rows(self, operands, lo, hi, work) -> np.ndarray:
         # z = (W - N1 (nv+1)/2) / sqrt(N0 N1 (nv+1)/12) through pooled
-        # buffers; N1/N0 are (1, nb) rows on fully-valid data.
+        # buffers; N1/N0 are (1, nb) rows or (1, 1) scalars on fully-valid
+        # data.  E and SD take the counts' width: with scalar counts they
+        # are one column per row, broadcast into W.
         xp = work.xp
         G = operands[0]
         shape, dt = (hi - lo, G.shape[1]), self.compute_dtype
@@ -72,18 +75,13 @@ class Wilcoxon(TestStatistic):
         W = xp.matmul(work.constant(self._R)[lo:hi], G,
                       out=work.take("W", shape, dt))
         nvp = work.constant(self._nvp)[lo:hi, None]
-        expected = xp.multiply(N1, nvp, out=work.take("E", shape, dt))
+        per_count = (hi - lo, N1.shape[1])
+        expected = xp.multiply(N1, nvp, out=work.take("E", per_count, dt))
         xp.divide(expected, 2.0, out=expected)
         prod = xp.multiply(N0, N1, out=work.take("NN", N1.shape, dt))
-        sd = xp.multiply(prod, nvp, out=work.take("SD", shape, dt))
+        sd = xp.multiply(prod, nvp, out=work.take("SD", per_count, dt))
         xp.divide(sd, 12.0, out=sd)
         xp.sqrt(sd, out=sd)
         xp.subtract(W, expected, out=W)
         z = xp.divide(W, sd, out=W)
-        b1 = xp.less(N1, 1, out=work.take("bad1", N1.shape, bool))
-        b2 = xp.less(N0, 1, out=work.take("bad2", N0.shape, bool))
-        xp.logical_or(b1, b2, out=b1)
-        b3 = xp.equal(sd, 0.0, out=work.take("bad3", shape, bool))
-        bad = xp.logical_or(b3, b1, out=b3)
-        z[bad] = np.nan
-        return z
+        return mask_undefined(z, sd, N1, N0, 1, work)

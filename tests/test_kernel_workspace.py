@@ -14,17 +14,22 @@ import numpy as np
 import pytest
 
 from repro import mt_maxT
+from repro.core import kernel as kernel_module
 from repro.core.adjust import side_adjust, successive_maxima
 from repro.core.kernel import (
     DEFAULT_CHUNK,
+    TIE_TOLERANCE,
     KernelCounts,
     KernelWorkspace,
+    ObservedScores,
     compute_observed,
     run_kernel,
     tie_tolerance,
 )
 from repro.core.options import build_generator, build_statistic, validate_options
 from repro.data import synthetic_expression
+from repro.permute.base import PermutationGenerator
+from repro.stats import base as stats_base
 from repro.stats.base import WorkBuffers, row_block
 
 #: Rows per block at the default batch size (the kernel's row tiling).
@@ -302,3 +307,172 @@ class TestFloat32Mode:
 
     def test_tie_tolerance_widens_for_float32(self):
         assert tie_tolerance(np.float32) > tie_tolerance(np.float64)
+
+
+def _count_scans(monkeypatch):
+    """Count the kernel's successive-maxima scans: a row block that skips
+    the scan (saturated) does not call it."""
+    calls = []
+    scan = kernel_module._suffix_maxima
+
+    def counted(block, scratch):
+        calls.append(len(block))
+        scan(block, scratch)
+
+    monkeypatch.setattr(kernel_module, "_suffix_maxima", counted)
+    return calls
+
+
+def _blocks(m, count, chunk_size=DEFAULT_CHUNK):
+    """Row blocks the kernel walks for ``count`` permutations after the
+    observed one."""
+    widths = [chunk_size] * ((count - 1) // chunk_size)
+    widths += [(count - 1) % chunk_size] if (count - 1) % chunk_size else []
+    return sum(-(-m // row_block(m, nb)) for nb in widths)
+
+
+def _saturation_problem(test, labels, na, dtype, side, m=90, B=150):
+    """Null data (plus one constant row) whose lower rows' permuted
+    maxima exceed the thresholds of the rows above them."""
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(m, len(labels)))
+    X[4] = 1.25
+    if na:
+        X[rng.random(X.shape) < 0.05] = np.nan
+    options = validate_options(labels, test=test, B=B, dtype=dtype)
+    stat = build_statistic(options, X, labels)
+    generator = build_generator(options, labels)
+    return stat, generator, compute_observed(stat, side)
+
+
+class TestSaturatedBlocks:
+    """A row block whose carried maxima already meet its largest threshold
+    skips the scan and counts every permutation; the counts must still
+    equal the whole-matrix reference."""
+
+    # 16 rows per 64-wide block, so the 90-row problems span 6 blocks
+    # (tier-1 matrices are otherwise smaller than one default block).
+    @pytest.fixture(autouse=True)
+    def _small_blocks(self, monkeypatch):
+        monkeypatch.setattr(stats_base, "ROW_BLOCK_ELEMENTS", 1024)
+
+    @pytest.mark.parametrize("test,labels", [
+        (test, np.array([0, 1] * 8) if test == "pairt" else labels)
+        for test, labels in CASES], ids=[c[0] for c in CASES])
+    @pytest.mark.parametrize("side", ["abs", "upper", "lower"])
+    @pytest.mark.parametrize("na", [False, True], ids=["clean", "na"])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_counts_match_reference(self, test, labels, side, na, dtype,
+                                    monkeypatch):
+        stat, generator, observed = _saturation_problem(test, labels, na,
+                                                        dtype, side)
+        assert row_block(stat.m, DEFAULT_CHUNK) * 3 <= stat.m
+        scans = _count_scans(monkeypatch)
+        got = run_kernel(stat, generator, observed, side, start=0, count=150)
+        assert len(scans) < _blocks(stat.m, 150)     # some blocks skipped
+        ref = _reference_counts(stat, generator, observed, side, 150)
+        np.testing.assert_array_equal(got.raw, ref.raw)
+        np.testing.assert_array_equal(got.adjusted, ref.adjusted)
+
+    @pytest.mark.parametrize("saturated", [False, True],
+                             ids=["carry-below-top", "carry-at-top"])
+    def test_one_column_near_the_top_threshold(self, saturated,
+                                               monkeypatch):
+        """12 rows in three 4-row blocks, 4 permutations.  The middle
+        block's carry meets its top threshold in columns 0-2; column 3's
+        carry sits 1 ulp below it or exactly on it (and above the block's
+        bottom threshold)."""
+        monkeypatch.setattr(stats_base, "ROW_BLOCK_ELEMENTS", 16)
+        scores = np.arange(10.0, -2.0, -1.0)
+        thr = scores - TIE_TOLERANCE * np.maximum(np.abs(scores), 1.0)
+        top = thr[4]
+        table = np.full((12, 4), -5.0)
+        table[8, :3] = 20.0
+        table[8, 3] = top if saturated else np.nextafter(top, -np.inf)
+        stat, generator = _TableStat(table), _IndexGenerator(5)
+        observed = ObservedScores(
+            stats=scores, scores=scores, order=np.arange(12),
+            scores_ordered=scores, untestable=np.zeros(12, dtype=bool))
+        scans = _count_scans(monkeypatch)
+        got = run_kernel(stat, generator, observed, "upper", 0, 5,
+                         chunk_size=4)
+        # bottom and top blocks scan; the middle one only if unsaturated
+        assert len(scans) == (2 if saturated else 3)
+        u = successive_maxima(table)
+        np.testing.assert_array_equal(
+            got.adjusted, 1 + (u >= thr[:, None]).sum(axis=1))
+        np.testing.assert_array_equal(
+            got.raw, 1 + (table >= thr[:, None]).sum(axis=1))
+        assert got.adjusted[4] == (5 if saturated else 4)
+
+    def test_wide_batches_count_exactly(self):
+        """At ``chunk_size=300`` a row's count per batch can pass 255: the
+        counts must equal a 64-wide run's."""
+        _, stat, generator, observed = _problem("t", CASES[0][1], B=601)
+        narrow = run_kernel(stat, generator, observed, "abs", 0, 601,
+                            chunk_size=64)
+        wide = run_kernel(stat, generator, observed, "abs", 0, 601,
+                          chunk_size=300)
+        assert narrow.raw.max() > 256 and narrow.adjusted.max() > 256
+        np.testing.assert_array_equal(narrow.raw, wide.raw)
+        np.testing.assert_array_equal(narrow.adjusted, wide.adjusted)
+
+
+class _TableStat:
+    """A statistic stub: permutation ``k`` scores column ``k - 1`` of a
+    fixed table (significance order already)."""
+
+    compute_dtype = np.dtype(np.float64)
+    width = 1
+
+    def __init__(self, table):
+        self.table = table
+        self.m = table.shape[0]
+
+    def order_rows(self, order, work=None):
+        assert np.array_equal(order, np.arange(self.m))
+        return False
+
+    def batch_operands(self, encodings, work):
+        return encodings[:, 0] - 1
+
+    def score_rows(self, columns, lo, hi, work):
+        out = work.take("table", (hi - lo, columns.size))
+        out[...] = self.table[lo:hi][:, columns]
+        return out
+
+
+class _IndexGenerator(PermutationGenerator):
+    """Encodes permutation ``k`` as ``[k]``."""
+
+    def __init__(self, nperm):
+        super().__init__(nperm, 1)
+
+    def _encode(self, index):
+        return np.array([index], dtype=np.int64)
+
+
+class TestPaperShapeOracle:
+    """The paper's 6102x76 shape, where most row blocks saturate: the
+    kernel's counts must equal the whole-matrix reference."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        X, _ = synthetic_expression(6102, 76, n_class1=38, seed=18)
+        return X, np.array([0] * 38 + [1] * 38)
+
+    @pytest.mark.parametrize("side", ["abs", "upper", "lower"])
+    def test_counts_match_reference(self, data, side, monkeypatch):
+        X, labels = data
+        options = validate_options(labels, test="t", side=side, B=300,
+                                   seed=7)
+        stat = build_statistic(options, X, labels)
+        generator = build_generator(options, labels)
+        observed = compute_observed(stat, side)
+        scans = _count_scans(monkeypatch)
+        got = run_kernel(stat, generator, observed, side, 0, 300)
+        blocks = _blocks(stat.m, 300)
+        assert len(scans) < 0.2 * blocks
+        ref = _reference_counts(stat, generator, observed, side, 300)
+        np.testing.assert_array_equal(got.raw, ref.raw)
+        np.testing.assert_array_equal(got.adjusted, ref.adjusted)

@@ -122,3 +122,24 @@ class TestBatch:
         a = FStat(X, labels).observed()
         b = FStat(X, relabelled).observed()
         np.testing.assert_allclose(a, b, rtol=1e-9)
+
+    @pytest.mark.parametrize("batch_classes", [[0, 1], [0, 1, 2]],
+                             ids=["all-lack-class-2", "one-lacks-class-2"])
+    def test_empty_class_in_a_batch(self, data, batch_classes):
+        """Class counts broadcast as a (1, 1) scalar when every encoding
+        has the same class sizes, as a (1, nb) row otherwise: an encoding
+        with an empty class scores NaN either way, and every column matches
+        its one-encoding batch."""
+        X, labels = data
+        stat = FStat(X, labels)
+        rng = np.random.default_rng(3)
+        perms = np.stack([rng.permutation(labels) for _ in range(4)])
+        perms[:2] = np.where(perms[:2] == 2, 1, perms[:2])
+        if batch_classes == [0, 1]:
+            perms = perms[:2]
+        batch = stat.batch(perms)
+        for j, enc in enumerate(perms):
+            lacks = not (enc == 2).any()
+            assert np.isnan(batch[:, j]).all() == lacks
+            np.testing.assert_allclose(batch[:, j], stat.batch(enc)[:, 0],
+                                       rtol=1e-12)

@@ -551,22 +551,30 @@ class TestSingleRankRespawn:
     def test_kill_mid_job_keeps_survivors_warm(self, dataset, monkeypatch):
         X, y = dataset
         serial = pmaxT(X, y, B=2000)
+        # Throttle every rank, so the env var must be set before the pool
+        # forks: 2 ms per permutation makes the 2000-permutation job last
+        # at least 1 s on 4 ranks, whatever the kernel's speed.
+        monkeypatch.setenv("REPRO_STEAL_TEST_DELAY", "*:0.002")
         with open_session("shm", 4) as ses:
             handle = ses.publish(X, labels=y)
-            # Warm the pool (and the resident workspaces) undelayed.
+            # Warm the pool (and the resident workspaces).
             warm = pmaxT(handle, B=400, session=ses, steal_block=100)
             _same(warm, pmaxT(X, y, B=400))
             pids_before = ses.worker_pids()
             state_before = {r: (pid, ws) for r, pid, ws
                             in ses.run(_survivor_state)[1:]}
 
-            # Throttle the job so it comfortably outlives the kill.  The
-            # env var only reaches rank 0 (the workers forked before it
-            # was set), and sub-block grant polling lets the fast
-            # workers drain the pool through the master's sleeps — so
-            # the kill must land well before the master's own delayed
-            # blocks run out.
-            monkeypatch.setenv("REPRO_STEAL_TEST_DELAY", "*:0.006")
+            # The master's ledger grants the initial runs when the job
+            # starts; the kill lands shortly after, inside the victim's
+            # first 0.2 s block.
+            started = threading.Event()
+            grant = BlockLedger.grant
+
+            def observed_grant(ledger, bid, rank):
+                started.set()
+                return grant(ledger, bid, rank)
+
+            monkeypatch.setattr(BlockLedger, "grant", observed_grant)
             out: dict = {}
 
             def run_job():
@@ -578,10 +586,12 @@ class TestSingleRankRespawn:
 
             worker = threading.Thread(target=run_job)
             worker.start()
-            time.sleep(0.5)
+            assert started.wait(30), "the job never started"
+            time.sleep(0.05)
             victim = pids_before[1]  # rank 2
             os.kill(victim, signal.SIGKILL)
             worker.join()
+            # The respawned rank forks unthrottled.
             monkeypatch.delenv("REPRO_STEAL_TEST_DELAY")
             assert "res" in out, f"kill job failed: {out.get('err')!r}"
             # The casualty cost the job nothing: same bits.
