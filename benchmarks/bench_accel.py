@@ -1,33 +1,30 @@
-"""Measured benchmark: the compute-engine hot path, engine vs reference.
+"""Measured benchmark: the packed permutation fill against the reference.
 
-Two measurements per available engine, written to ``BENCH_accel.json``:
+The fixed-seed label and block shuffles fill their batches through the
+value-packed sort of :class:`repro.permute.keystream.LayoutFill`.  This
+times that production path against the reference ``argsort``
+constructions (``label_permutations``, ``block_permutations``) over the
+same permutation indices, consumed in kernel-sized batches exactly as
+``run_kernel`` consumes them.  The rows
+are asserted bit-identical before either timing means anything.
 
-1. **Engine-batched keystream generation** — ``take_batch`` with an engine
-   attached (batched Philox raw keys + one device argsort per super-batch)
-   against the engine-less batched path, per keystream family.  The stream
-   is asserted bit-identical before either timing means anything: the keys
-   are generated on the host and are unique with overwhelming probability,
-   so any correct sort yields the same permutation.
-2. **End-to-end ``run_kernel``** — the engine-routed kernel (super-batch
-   encoding prefill + engine-namespace scoring GEMMs) against the plain
-   workspace kernel on the same problem.  The numpy engine performs the
-   reference arithmetic, so its counts are asserted int64-exact; device
-   engines are bit-identical on the stream and tie-tolerance-equal on
-   counts (only the numpy rows gate CI).
+Each family's ``speedup`` is the median over rounds of reference time /
+packed time, the two sides timed back to back in alternating order.  It
+feeds ``check_bench_regression.py`` with a tolerance tight enough that a
+ratio of 1.0 (the packed sort reverted to the reference) fails.  The
+default 76 samples is the paper's array count; the win depends on the
+width (label shuffles read about 1.02x at 64 samples and 1.2x at 76 on
+the 2-core host that recorded ``BENCH_accel.json``).
 
-The ``speedup`` leaves feed ``check_bench_regression.py``: both ratios are
-engine-vs-reference on the *same host and scale*, so they are
-host-independent claims — the committed record defends "the engine path
-does not collapse", not an absolute throughput.  Engines missing on the
-host (torch, cupy) simply do not appear in the JSON; the gate skips keys
-present on one side only, so a torch CI leg can write richer smoke records
-against the same committed file.
+The whole-kernel effect is small: on a 2-core host (6102x76 Welch t,
+4000 permutations, BLAS capped at 1) the kernel ran in 0.807 s with the
+packed fill against 0.845 s with the reference (1.05x), because
+generation is a small share of the kernel.
 
-Run standalone (writes the JSON next to the repository root)::
+Run standalone (writes ``BENCH_accel.json`` at the repository root)::
 
     PYTHONPATH=src python benchmarks/bench_accel.py
-    PYTHONPATH=src python benchmarks/bench_accel.py \
-        --genes 1000 --samples 60 --b-perm 4000 --b-kernel 400 --repeats 1
+    PYTHONPATH=src python benchmarks/bench_accel.py --samples 100 --b-perm 4000
 
 or through pytest (small workload, asserts parity and the win)::
 
@@ -38,222 +35,147 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import time
 from pathlib import Path
 
 import numpy as np
 
-from repro.accel import resolve_engine
-from repro.core.kernel import run_kernel
-from repro.errors import EngineUnavailableError
-from repro.permute import RandomBlockShuffle, RandomLabelShuffle, RandomSigns
+from repro.core.kernel import DEFAULT_CHUNK
+from repro.permute import RandomBlockShuffle, RandomLabelShuffle
+from repro.permute import keystream
 
-DEFAULT_GENES = 5_000
-DEFAULT_SAMPLES = 100
+DEFAULT_SAMPLES = 76
 DEFAULT_B_PERM = 10_000
-DEFAULT_B_KERNEL = 2_000
-DEFAULT_REPEATS = 3
+DEFAULT_REPEATS = 15
 RESULT_FILE = "BENCH_accel.json"
+SEED = 3455660
+BLOCK_K = 4
 
 
-def _best(fn, repeats):
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+def _elapsed(fn):
+    start = time.perf_counter()
+    fn()
+    return time.perf_counter() - start
 
 
-def available_engines() -> list[str]:
-    """Engine names importable on this host, reference engine first."""
-    names = ["numpy"]
-    for name in ("torch", "cupy"):
-        try:
-            resolve_engine(name)
-        except EngineUnavailableError:
-            continue
-        names.append(name)
-    return names
+def _paired(reference, packed, rounds):
+    """Time both sides once per round, alternating which goes first, so a
+    drift in host load moves both sides of a round together.  Returns the
+    best time of each side and the median of the per-round ratios."""
+    reference()
+    packed()
+    ref_s, packed_s = [], []
+    for i in range(rounds):
+        if i % 2:
+            packed_s.append(_elapsed(packed))
+            ref_s.append(_elapsed(reference))
+        else:
+            ref_s.append(_elapsed(reference))
+            packed_s.append(_elapsed(packed))
+    ratio = float(np.median(np.divide(ref_s, packed_s)))
+    return min(ref_s), min(packed_s), ratio
 
-
-# ---------------------------------------------------------------------------
-# 1. Engine-batched keystream generation
-# ---------------------------------------------------------------------------
 
 def _families(n_samples: int, nperm: int) -> dict:
+    """``name -> (generator, reference(start, count) -> rows)``."""
     from repro.data import block_labels, two_class_labels
 
     labels = two_class_labels(n_samples // 2, n_samples - n_samples // 2)
-    blocks = block_labels(max(2, n_samples // 4), 4)
-    npairs = n_samples // 2
+    blocks = block_labels(max(2, n_samples // BLOCK_K), BLOCK_K)
     return {
-        "label_shuffle": lambda: RandomLabelShuffle(labels, nperm),
-        "signs": lambda: RandomSigns(npairs, nperm),
-        "block_shuffle": lambda: RandomBlockShuffle(blocks, 4, nperm),
+        "label_shuffle": (
+            RandomLabelShuffle(labels, nperm, seed=SEED),
+            lambda start, count: keystream.label_permutations(
+                SEED, start, count, labels)),
+        "block_shuffle": (
+            RandomBlockShuffle(blocks, BLOCK_K, nperm, seed=SEED),
+            lambda start, count: keystream.block_permutations(
+                SEED, start, count, blocks.reshape(-1, BLOCK_K))),
     }
 
 
-def measure_permgen(ops, n_samples, b_perm, repeats) -> dict:
-    out = {}
-    for name, make in _families(n_samples, b_perm + 1).items():
-        # Bit-identity guard: the engine-sorted stream must equal the
-        # reference stream before its time is meaningful.
-        head = min(b_perm, 64)
-        plain = make()
-        plain.skip(1)
-        reference = plain.take_batch(head)
-        accel = make()
-        assert accel.attach_engine(ops), name
-        accel.skip(1)
-        assert np.array_equal(accel.take_batch(head), reference), name
-
-        # Reuse generators and the output buffer across repeats, exactly
-        # as run_kernel does (resident generator, workspace.enc buffer).
-        buf = np.empty((b_perm, plain.width), dtype=np.int64)
-
-        def plain_batch():
-            plain.reset()
-            plain.skip(1)
-            return plain.take_batch(b_perm, out=buf)
-
-        def engine_batch():
-            accel.reset()
-            accel.skip(1)
-            return accel.take_batch(b_perm, out=buf)
-
-        plain_s = _best(plain_batch, repeats)
-        engine_s = _best(engine_batch, repeats)
-        out[name] = {
-            "plain_s": plain_s,
-            "engine_s": engine_s,
-            "speedup": plain_s / engine_s,
-            "perms_per_s": b_perm / engine_s,
-        }
-    return out
-
-
-# ---------------------------------------------------------------------------
-# 2. The engine-routed kernel
-# ---------------------------------------------------------------------------
-
-def _kernel_problem(n_genes, n_samples, b_kernel, seed=1):
-    from repro.core.kernel import compute_observed
-    from repro.core.options import (
-        build_generator,
-        build_statistic,
-        validate_options,
-    )
-    from repro.data import two_class_labels
-
-    rng = np.random.default_rng(seed)
-    X = rng.normal(size=(n_genes, n_samples))
-    labels = two_class_labels(n_samples // 2, n_samples - n_samples // 2)
-    options = validate_options(labels, test="t", B=b_kernel)
-    stat = build_statistic(options, X, labels)
-    generator = build_generator(options, labels)
-    observed = compute_observed(stat, "abs")
-    return stat, generator, observed
-
-
-def measure_kernel(ops, n_genes, n_samples, b_kernel, repeats,
-                   exact: bool) -> dict:
-    stat, generator, observed = _kernel_problem(n_genes, n_samples, b_kernel)
-
-    reference = run_kernel(stat, generator, observed, "abs", 0, b_kernel)
-    routed = run_kernel(stat, generator, observed, "abs", 0, b_kernel,
-                        engine=ops)
-    if exact:  # the numpy engine is the reference arithmetic
-        assert np.array_equal(reference.raw, routed.raw)
-        assert np.array_equal(reference.adjusted, routed.adjusted)
-    assert reference.nperm == routed.nperm
-
-    plain_s = _best(
-        lambda: run_kernel(stat, generator, observed, "abs", 0, b_kernel),
-        repeats)
-    engine_s = _best(
-        lambda: run_kernel(stat, generator, observed, "abs", 0, b_kernel,
-                           engine=ops),
-        repeats)
-    return {
-        "plain_s": plain_s,
-        "engine_s": engine_s,
-        "speedup": plain_s / engine_s,
-        "us_per_perm": engine_s / b_kernel * 1e6,
-    }
-
-
-def measure(n_genes=DEFAULT_GENES, n_samples=DEFAULT_SAMPLES,
-            b_perm=DEFAULT_B_PERM, b_kernel=DEFAULT_B_KERNEL,
+def measure(n_samples=DEFAULT_SAMPLES, b_perm=DEFAULT_B_PERM,
             repeats=DEFAULT_REPEATS) -> dict:
-    engines = {}
-    for name in available_engines():
-        ops = resolve_engine(name)
-        engines[name] = {
-            "permgen": measure_permgen(ops, n_samples, b_perm, repeats),
-            "kernel": measure_kernel(ops, n_genes, n_samples, b_kernel,
-                                     repeats, exact=(name == "numpy")),
+    batch = DEFAULT_CHUNK
+    fills = {}
+    for name, (gen, reference) in _families(n_samples, b_perm + 1).items():
+        buf = np.empty((batch, gen.width), dtype=np.int64)
+        starts = range(1, b_perm + 1, batch)
+
+        # Bit-identity guard over the whole timed range.
+        gen.reset()
+        gen.skip(1)
+        for start in starts:
+            nb = min(batch, b_perm + 1 - start)
+            assert np.array_equal(gen.take_batch(nb, out=buf),
+                                  reference(start, nb)), name
+
+        def packed():
+            gen.reset()
+            gen.skip(1)
+            for start in starts:
+                gen.take_batch(min(batch, b_perm + 1 - start), out=buf)
+
+        def argsort_reference():
+            for start in starts:
+                nb = min(batch, b_perm + 1 - start)
+                buf[:nb] = reference(start, nb)
+
+        reference_s, packed_s, speedup = _paired(argsort_reference, packed,
+                                                 repeats)
+        fills[name] = {
+            "reference_s": reference_s,
+            "packed_s": packed_s,
+            "speedup": speedup,
+            "perms_per_s": b_perm / packed_s,
         }
-    ref = engines["numpy"]
     return {
-        "benchmark": "accel_engines",
-        "matrix": [n_genes, n_samples],
+        "benchmark": "permutation_fill",
+        "host": {"cores": os.cpu_count(), "numpy": np.__version__},
+        "samples": n_samples,
         "b_perm": b_perm,
-        "b_kernel": b_kernel,
+        "batch": batch,
         "repeats": repeats,
-        "engines": engines,
-        "engine_permgen_speedup": ref["permgen"]["label_shuffle"]["speedup"],
-        "engine_kernel_speedup": ref["kernel"]["speedup"],
+        "fills": fills,
     }
 
 
-def test_numpy_engine_parity_and_win():
-    """Smoke acceptance at reduced scale: exact parity, generation wins."""
-    result = measure(n_genes=800, n_samples=64, b_perm=4_000, b_kernel=400,
-                     repeats=2)
-    ref = result["engines"]["numpy"]
-    # The argsort-batched keystream must beat the reference batched path.
-    assert result["engine_permgen_speedup"] > 1.2, ref["permgen"]
-    # The routed kernel must not collapse (the GEMMs already dominate).
-    assert result["engine_kernel_speedup"] > 0.7, ref["kernel"]
+def test_packed_fill_parity_and_win():
+    """Smoke acceptance at reduced scale: exact parity, both fills win."""
+    result = measure(b_perm=4_000)
+    for family, row in result["fills"].items():
+        assert row["speedup"] > 1.0, (family, result["fills"])
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Time the compute-engine hot path, engine vs reference.")
-    parser.add_argument("--genes", type=int, default=DEFAULT_GENES)
+        description="Time the packed permutation fill against the "
+        "reference argsort constructions.")
     parser.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     parser.add_argument("--b-perm", type=int, default=DEFAULT_B_PERM)
-    parser.add_argument("--b-kernel", type=int, default=DEFAULT_B_KERNEL)
     parser.add_argument("--repeats", type=int, default=DEFAULT_REPEATS)
     parser.add_argument("--out", default=None,
                         help=f"output JSON path (default: {RESULT_FILE} "
                         "in the repository root)")
     args = parser.parse_args(argv)
 
-    result = measure(args.genes, args.samples, args.b_perm, args.b_kernel,
-                     args.repeats)
+    result = measure(args.samples, args.b_perm, args.repeats)
 
     out = Path(args.out) if args.out else \
         Path(__file__).resolve().parent.parent / RESULT_FILE
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(result, indent=2) + "\n")
 
-    print(f"matrix {args.genes}x{args.samples}, B_perm={args.b_perm}, "
-          f"B_kernel={args.b_kernel}, best of {args.repeats}")
-    for name, rows in result["engines"].items():
-        for family, row in rows["permgen"].items():
-            print(f"  {name:6s} permgen {family:14s}"
-                  f" plain {row['plain_s'] * 1e3:8.1f} ms"
-                  f"   engine {row['engine_s'] * 1e3:8.1f} ms"
-                  f"   speedup {row['speedup']:5.2f}x"
-                  f"   ({row['perms_per_s'] / 1e3:.0f}k perms/s)")
-        k = rows["kernel"]
-        print(f"  {name:6s} kernel {'t':15s}"
-              f" plain {k['plain_s'] * 1e3:8.1f} ms"
-              f"   engine {k['engine_s'] * 1e3:8.1f} ms"
-              f"   speedup {k['speedup']:5.2f}x"
-              f"   ({k['us_per_perm']:.0f} us/perm)")
+    print(f"{args.samples} samples, B_perm={args.b_perm}, "
+          f"batch={result['batch']}, {args.repeats} rounds "
+          "(best times, median ratio)")
+    for family, row in result["fills"].items():
+        print(f"  {family:14s}"
+              f" reference {row['reference_s'] * 1e3:8.1f} ms"
+              f"   packed {row['packed_s'] * 1e3:8.1f} ms"
+              f"   speedup {row['speedup']:5.2f}x"
+              f"   ({row['perms_per_s'] / 1e3:.0f}k perms/s)")
     print(f"written to {out}")
     return 0
 

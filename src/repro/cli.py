@@ -28,7 +28,6 @@ import sys
 import time
 
 from . import __version__
-from .accel import ENGINE_CHOICES
 from .core.pmaxt import pmaxT
 from .data.io import load_dataset_csv, load_dataset_npz, write_result_tsv
 from .errors import ReproError
@@ -87,16 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="statistic compute precision (float32: ~2x "
                         "BLAS speed at ~1e-5 relative accuracy; default: "
                         "float64)")
-    parser.add_argument("--engine", default="auto",
-                        choices=ENGINE_CHOICES,
-                        help="array-module compute engine: 'numpy' is the "
-                        "bit-identical batched reference, 'torch'/'cupy' "
-                        "run the hot path on their array library (GPU "
-                        "when available), 'auto' picks the best this "
-                        "host can drive (default: auto)")
-    parser.add_argument("--engine-batch", type=int, default=0, metavar="N",
-                        help="rows per engine super-batch "
-                        "(default: 0 = the engine's own default)")
     parser.add_argument("--schedule", default="auto",
                         choices=("auto", "static", "steal"),
                         help="permutation scheduling: 'static' is the "
@@ -296,8 +285,6 @@ def main(argv: list[str] | None = None) -> int:
             B=args.b,
             nonpara=args.nonpara,
             dtype=args.dtype,
-            engine=args.engine,
-            engine_batch=args.engine_batch,
             blas_threads=args.blas_threads,
             row_names=row_names,
             checkpoint_dir=args.checkpoint_dir,

@@ -9,12 +9,13 @@ The counts are plain sums over permutations, so per-rank results combine by
 elementwise addition — the reduction the master performs in Step 5 of the
 paper's parallel algorithm.
 
-Permutations are processed in batches (default 64): the generator emits a
-``(nb, width)`` encoding block, the statistic scores it with a handful of
-GEMMs, and side adjustment, successive maxima and counting are vectorized
-NumPy.  Batching is the main optimization over the paper's
-one-permutation-at-a-time C loop and is what lets a NumPy implementation
-approach compiled speed.
+Permutations are processed in batches (default 64): the generator writes
+a ``(nb, width)`` encoding block into the workspace (fixed-seed generators
+through the value-packed sort of :mod:`repro.permute.keystream`), the
+statistic scores it with a handful of GEMMs, and side adjustment,
+successive maxima and counting are vectorized NumPy.  Batching is the
+main optimization over the paper's one-permutation-at-a-time C loop and
+is what lets a NumPy implementation approach compiled speed.
 
 Row-tiled loop
 --------------
@@ -48,7 +49,6 @@ once per job (:meth:`~repro.stats.base.TestStatistic.order_rows`; a repeat
 call with the same order is a no-op), so a block is a contiguous row
 range of every operand and no per-batch gather is needed.  Raw counts
 are accumulated in significance order and scattered back once per call.
-Device engines score the whole matrix as one block.
 
 Workspace discipline
 --------------------
@@ -186,18 +186,9 @@ class KernelWorkspace:
         are served as leading-slice views.
     dtype:
         Compute dtype of the statistic this workspace will partner.
-    engine:
-        Optional :class:`~repro.accel.base.ArrayOps` compute engine.  The
-        statistic pool binds to it (GEMMs run on its arrays) and the
-        encoding buffer grows to an engine super-batch so batched
-        keystream sorts amortise their setup.
-    engine_batch:
-        Rows per engine super-batch; defaults to the engine's own
-        ``batch_rows``.  Ignored without an engine.
     """
 
-    def __init__(self, m: int, width: int, chunk_size: int,
-                 dtype=np.float64, engine=None, engine_batch: int | None = None):
+    def __init__(self, m: int, width: int, chunk_size: int, dtype=np.float64):
         if chunk_size <= 0:
             raise PermutationError(
                 f"chunk_size must be positive, got {chunk_size}")
@@ -205,48 +196,25 @@ class KernelWorkspace:
         self.width = int(width)
         self.chunk_size = int(chunk_size)
         self.dtype = np.dtype(dtype)
-        self.engine = engine
-        if engine is None:
-            self.engine_batch = 0
-            enc_rows = self.chunk_size
-        else:
-            rows = engine.batch_rows if engine_batch is None else int(engine_batch)
-            self.engine_batch = max(rows, self.chunk_size)
-            enc_rows = self.engine_batch
         #: Encoding buffer handed to ``generator.take_batch(out=...)``.
-        self.enc = np.empty((enc_rows, self.width), dtype=np.int64)
-        #: Named statistic scratch pool threaded through the row blocks.
-        self.pool = WorkBuffers(engine)
-        #: Host scratch for the counting steps: the pool itself on host
-        #: engines; a NumPy pool (with a landing buffer for the device
-        #: scores) when the pool's arrays are not plain ndarrays.
-        self.host = (self.pool if engine is None or engine.xp is np
-                     else WorkBuffers())
+        self.enc = np.empty((self.chunk_size, self.width), dtype=np.int64)
+        #: Named scratch pool threaded through the row blocks.
+        self.pool = WorkBuffers()
 
     @classmethod
     def for_stat(cls, stat: TestStatistic, chunk_size: int = DEFAULT_CHUNK,
-                 engine=None,
-                 engine_batch: int | None = None) -> "KernelWorkspace":
-        """A workspace matching one bound statistic's problem shape."""
-        return cls(stat.m, stat.width, chunk_size, stat.compute_dtype,
-                   engine=engine, engine_batch=engine_batch)
+                 engine=None) -> "KernelWorkspace":
+        """A workspace matching one bound statistic's problem shape.
 
-    def compatible_with(self, stat: TestStatistic, chunk_size: int,
-                        engine=None, engine_batch: int | None = None) -> bool:
+        ``engine`` is ignored; it is kept only for ``perfbench/replay.py``.
+        """
+        return cls(stat.m, stat.width, chunk_size, stat.compute_dtype)
+
+    def compatible_with(self, stat: TestStatistic, chunk_size: int) -> bool:
         """Whether this workspace can serve ``stat`` at ``chunk_size``."""
-        if not (self.m == stat.m and self.width == stat.width
+        return (self.m == stat.m and self.width == stat.width
                 and self.chunk_size >= chunk_size
-                and self.dtype == stat.compute_dtype):
-            return False
-        mine = None if self.engine is None else self.engine.name
-        theirs = None if engine is None else engine.name
-        if mine != theirs:
-            return False
-        if engine is not None:
-            rows = engine.batch_rows if engine_batch is None else int(engine_batch)
-            if self.engine_batch < max(rows, chunk_size):
-                return False
-        return True
+                and self.dtype == stat.compute_dtype)
 
     def ordered(self, nb: int) -> np.ndarray:
         """A fresh ``(m, nb)`` matrix for whole-matrix staged replays.
@@ -257,11 +225,8 @@ class KernelWorkspace:
         return np.empty((self.m, nb), dtype=self.dtype)
 
     def nbytes(self) -> int:
-        """Current footprint (encoding buffer + warm pools)."""
-        held = self.enc.nbytes + self.pool.nbytes()
-        if self.host is not self.pool:
-            held += self.host.nbytes()
-        return held
+        """Current footprint (encoding buffer + warm pool)."""
+        return self.enc.nbytes + self.pool.nbytes()
 
 
 @dataclass
@@ -338,7 +303,6 @@ def run_kernel(
     first_is_observed: bool | None = None,
     workspace: KernelWorkspace | None = None,
     engine=None,
-    engine_batch: int | None = None,
 ) -> KernelCounts:
     """Accumulate maxT counts over permutations ``[start, start + count)``.
 
@@ -364,15 +328,7 @@ def run_kernel(
     so every caller gets the allocation-free batch loop.  Counts are
     bit-identical either way.
 
-    ``engine`` is an optional :class:`~repro.accel.base.ArrayOps` compute
-    engine (already resolved; see :func:`repro.accel.resolve_engine`).
-    When the generator is counter-based and the engine accelerates its
-    keystream family, encodings are prefilled in engine super-batches of
-    ``engine_batch`` rows (default: the engine's ``batch_rows``) and the
-    statistic GEMMs route through the engine's array namespace.  The
-    numpy engine performs the reference arithmetic, so its counts are
-    bit-identical to an engine-less run; device engines are bit-identical
-    on the permutation stream and tie-tolerance-equal on counts.
+    ``engine`` is ignored; it is kept only for ``perfbench/replay.py``.
     """
     if chunk_size <= 0:
         raise PermutationError(f"chunk_size must be positive, got {chunk_size}")
@@ -400,19 +356,12 @@ def run_kernel(
     generator.reset()
     generator.skip(start)
 
-    if workspace is None or not workspace.compatible_with(
-            stat, chunk_size, engine=engine, engine_batch=engine_batch):
-        workspace = KernelWorkspace.for_stat(stat, chunk_size, engine=engine,
-                                             engine_batch=engine_batch)
-    ops = workspace.engine
-    # Always (re)attach so a generator shared across calls cannot keep a
-    # stale engine; attach returns False for stream/stored generators.
-    attach = getattr(generator, "attach_engine", None)
-    accelerated = bool(attach(ops)) if attach is not None else False
+    if workspace is None or not workspace.compatible_with(stat, chunk_size):
+        workspace = KernelWorkspace.for_stat(stat, chunk_size)
 
-    pool, host = workspace.pool, workspace.host
+    pool = workspace.pool
     order = observed.order
-    stat.order_rows(order, pool)
+    stat.order_rows(order)
     # Tie-tolerant thresholds (see TIE_TOLERANCE / TIE_TOLERANCE_F32).
     # -inf stays -inf.
     rel = tie_tolerance(stat.compute_dtype)
@@ -429,45 +378,21 @@ def run_kernel(
         untestable = None
     raw = np.zeros(m, dtype=np.int64)                       # significance order
     adjusted = counts.adjusted
-    carry = host.take("carry", (chunk_size,), stat.compute_dtype)
+    carry = pool.take("carry", (chunk_size,), stat.compute_dtype)
     count_dtype = np.min_scalar_type(chunk_size)
 
-    # Engine super-batches: prefill many chunks' encodings with one
-    # fill_encodings call (one keystream pass + one batched sort), then
-    # serve the scoring loop leading slices of the prefetched block.
-    superbatch = workspace.engine_batch if accelerated else 0
-    enc_source: np.ndarray | None = None
-    enc_off = enc_avail = 0
-
     remaining = count
-    with np.errstate(invalid="ignore", divide="ignore"), \
-            pool.xp.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore"):
         while remaining > 0:
             nb = min(chunk_size, remaining)
-            if superbatch:
-                if enc_avail == 0:
-                    fill = min(superbatch, remaining)
-                    enc_source = generator.take_batch(fill, out=workspace.enc)
-                    enc_off, enc_avail = 0, fill
-                # A super-batch that is not a multiple of chunk_size leaves
-                # a short tail; serve it as a short chunk rather than
-                # reading past the prefetched rows.
-                nb = min(nb, enc_avail)
-                enc = enc_source[enc_off:enc_off + nb]
-                enc_off += nb
-                enc_avail -= nb
-            else:
-                enc = generator.take_batch(nb, out=workspace.enc)
-            operands = stat.batch_operands(pool.adopt_encodings(enc), pool)
-            rows = row_block(m, nb, pool.xp)
+            enc = generator.take_batch(nb, out=workspace.enc)
+            operands = stat.batch_operands(enc, pool)
+            rows = row_block(m, nb)
             below = carry[:nb]
             hi = m
             while hi > 0:
                 lo = max(0, hi - rows)
                 block = stat.score_rows(operands, lo, hi, pool)
-                if host is not pool:
-                    block = ops.to_host(block, out=host.take(
-                        "scores", (hi - lo, nb), stat.compute_dtype))
                 side_adjust(block, side, out=block)
                 if untestable is not None:
                     dead = untestable[lo:hi]
@@ -475,7 +400,7 @@ def run_kernel(
                         block[dead] = -np.inf
                 thr = threshold_ordered[lo:hi]
                 ge = np.greater_equal(block, thr,
-                                      out=host.take("ge", block.shape, bool))
+                                      out=pool.take("ge", block.shape, bool))
                 raw[lo:hi] += np.add.reduce(ge.view(np.uint8), axis=1,
                                             dtype=count_dtype)
                 saturated = hi < m and below.min() >= top[lo]
@@ -485,7 +410,7 @@ def run_kernel(
                     adjusted[lo:hi] += nb
                     np.maximum.reduce(block, axis=0, out=below)
                 else:
-                    _suffix_maxima(block, host.take("smax", block.shape,
+                    _suffix_maxima(block, pool.take("smax", block.shape,
                                                     stat.compute_dtype))
                     np.greater_equal(block, thr, out=ge)
                     adjusted[lo:hi] += np.add.reduce(

@@ -16,6 +16,7 @@ with ``.`` replaced by ``_`` for Python.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -67,13 +68,6 @@ class MaxTOptions:
     #: Compute dtype of the statistic kernels ("float64" default;
     #: "float32" is the opt-in fast mode).
     dtype: str = "float64"
-    #: Compute engine name ("auto" picks the best this host can drive;
-    #: see :mod:`repro.accel`).  Never enters result-cache keys or
-    #: checkpoint fingerprints: permutation streams are bit-identical
-    #: across engines and counts int64-exact.
-    engine: str = "auto"
-    #: Rows per engine super-batch (0 = the engine's own default).
-    engine_batch: int = 0
     #: Resolved total permutation count including the observed labelling
     #: (filled in by :func:`validate_options`).
     nperm: int = 0
@@ -81,6 +75,8 @@ class MaxTOptions:
     complete: bool = False
     #: Whether sampled permutations are materialised in memory (filled in).
     store: bool = False
+    #: Always ``None``; kept only for ``perfbench/replay.py``.
+    engine: ClassVar[None] = None
 
     def describe(self) -> str:
         """One-line human-readable summary (used by examples and logs)."""
@@ -89,7 +85,7 @@ class MaxTOptions:
             else "random/stream")
         store = "stored" if self.store else "on-the-fly"
         return (f"test={self.test} side={self.side} B={self.nperm} "
-                f"({gen}, {store}, engine={self.engine})")
+                f"({gen}, {store})")
 
 
 def validate_options(
@@ -105,8 +101,6 @@ def validate_options(
     chunk_size: int = DEFAULT_CHUNK,
     complete_limit: int = DEFAULT_COMPLETE_LIMIT,
     dtype: str = "float64",
-    engine: str = "auto",
-    engine_batch: int = 0,
 ) -> MaxTOptions:
     """Validate the R-style options and resolve the permutation plan.
 
@@ -141,18 +135,6 @@ def validate_options(
     if str(dtype) not in COMPUTE_DTYPES:
         raise OptionError(
             f"dtype must be one of {COMPUTE_DTYPES}, got {dtype!r}")
-    # Validate the engine name against the registry (unknown -> OptionError)
-    # and, for an explicit name, that its module imports on this host
-    # (missing -> EngineUnavailableError) — the failure surfaces here, on
-    # the master in Step 1, not inside a worker pool.
-    from ..accel import resolve_engine
-
-    resolve_engine(str(engine))
-    if not isinstance(engine_batch, (int, np.integer)) \
-            or isinstance(engine_batch, bool) or engine_batch < 0:
-        raise OptionError(
-            f"engine_batch must be a non-negative integer "
-            f"(0 = engine default), got {engine_batch!r}")
 
     nperm, complete = resolve_permutation_count(
         test, classlabel, int(B), limit=complete_limit
@@ -169,8 +151,6 @@ def validate_options(
         chunk_size=int(chunk_size),
         complete_limit=int(complete_limit),
         dtype=str(dtype),
-        engine=str(engine),
-        engine_batch=int(engine_batch),
         nperm=nperm,
         complete=complete,
         store=store,

@@ -106,10 +106,6 @@ _SIDE_CODES = {"abs": 0, "upper": 1, "lower": 2}
 _SIDE_NAMES = {v: k for k, v in _SIDE_CODES.items()}
 _DTYPE_CODES = {"float64": 0, "float32": 1}
 _DTYPE_NAMES = {v: k for k, v in _DTYPE_CODES.items()}
-# Engine names travel as scalar codes too; a custom-registered engine
-# (no code) falls back to its literal name on the wire.
-_ENGINE_CODES = {"auto": 0, "numpy": 1, "torch": 2, "cupy": 3}
-_ENGINE_NAMES = {v: k for k, v in _ENGINE_CODES.items()}
 
 
 def _pack_options(o: MaxTOptions) -> tuple:
@@ -128,14 +124,11 @@ def _pack_options(o: MaxTOptions) -> tuple:
         1 if o.complete else 0,
         1 if o.store else 0,
         _DTYPE_CODES[o.dtype],
-        _ENGINE_CODES.get(o.engine, o.engine),
-        o.engine_batch,
     )
 
 
 def _unpack_options(t: tuple) -> MaxTOptions:
     """Inverse of :func:`_pack_options`."""
-    engine = t[13]
     return MaxTOptions(
         test=_TEST_NAMES[t[0]],
         side=_SIDE_NAMES[t[1]],
@@ -150,8 +143,6 @@ def _unpack_options(t: tuple) -> MaxTOptions:
         complete=bool(t[10]),
         store=bool(t[11]),
         dtype=_DTYPE_NAMES[t[12]],
-        engine=_ENGINE_NAMES[engine] if isinstance(engine, int) else engine,
-        engine_batch=int(t[14]),
     )
 
 
@@ -190,8 +181,6 @@ def pmaxT(
     chunk_size: int = DEFAULT_CHUNK,
     complete_limit: int = DEFAULT_COMPLETE_LIMIT,
     dtype: str = "float64",
-    engine: str = "auto",
-    engine_batch: int = 0,
     blas_threads: int | None = None,
     row_names: list[str] | None = None,
     checkpoint_dir: str | None = None,
@@ -237,15 +226,6 @@ def pmaxT(
     ``steal_block`` tunes the permutations-per-block granularity
     (default 256).  Neither knob enters the result-cache key, for
     exactly that reason.
-
-    ``engine`` picks the array-module compute engine for the hot path
-    (see :mod:`repro.accel`): ``"auto"`` (default) resolves to the best
-    engine the host can drive — a CUDA-backed ``cupy``/``torch`` when
-    present, the bit-identical batched ``numpy`` reference otherwise.
-    ``engine_batch`` sets the rows per engine super-batch (0 = the
-    engine's default).  Like the schedule, the engine never enters the
-    result-cache key: permutation streams are bit-identical across
-    engines and counts int64-exact.
     """
     if isinstance(X, PublishedDataset) and classlabel is None:
         classlabel = X.labels
@@ -258,7 +238,6 @@ def pmaxT(
         test=test, side=side, fixed_seed_sampling=fixed_seed_sampling,
         B=B, na=na, nonpara=nonpara, seed=seed, chunk_size=chunk_size,
         complete_limit=complete_limit, dtype=dtype,
-        engine=engine, engine_batch=engine_batch,
         blas_threads=blas_threads, row_names=row_names,
         checkpoint_dir=checkpoint_dir,
         checkpoint_interval=checkpoint_interval,
@@ -322,8 +301,6 @@ def _validated_options(classlabel, run_kwargs) -> MaxTOptions:
         chunk_size=run_kwargs["chunk_size"],
         complete_limit=run_kwargs["complete_limit"],
         dtype=run_kwargs["dtype"],
-        engine=run_kwargs["engine"],
-        engine_batch=run_kwargs["engine_batch"],
     )
 
 
@@ -342,8 +319,6 @@ def lookup_cached(
     chunk_size: int = DEFAULT_CHUNK,
     complete_limit: int = DEFAULT_COMPLETE_LIMIT,
     dtype: str = "float64",
-    engine: str = "auto",
-    engine_batch: int = 0,
     row_names: list[str] | None = None,
 ) -> MaxTResult | None:
     """Answer a pmaxT call from ``cache`` alone, or return ``None``.
@@ -366,7 +341,6 @@ def lookup_cached(
         fixed_seed_sampling=fixed_seed_sampling, B=B, na=na,
         nonpara=nonpara, seed=seed, chunk_size=chunk_size,
         complete_limit=complete_limit, dtype=dtype,
-        engine=engine, engine_batch=engine_batch,
     )
     key = result_cache_key(_dataset_fp_for(X, classlabel), options)
     entry = cache.lookup(key, options.nperm)
@@ -416,30 +390,6 @@ def _pmaxt_cached(cache, X, classlabel, *, backend, ranks, session,
     return result
 
 
-def _resolve_run_engine(options: MaxTOptions):
-    """This rank's compute engine for one run, session-resident when possible.
-
-    Under a persistent session each rank keeps one
-    :class:`~repro.accel.base.ArrayOps` instance warm across whole pmaxT
-    calls (engines hold reusable sort scratch and, on device engines,
-    cached constant uploads); outside a session a fresh instance is built
-    per call.  The cache is keyed by the *requested* spec so switching
-    ``engine=`` or ``engine_batch=`` between calls re-resolves.
-    """
-    from ..accel import resolve_engine
-
-    batch = options.engine_batch or None
-    cache = resident_cache()
-    if cache is None:
-        return resolve_engine(options.engine, batch_rows=batch)
-    spec = (options.engine, batch)
-    resident = cache.get("compute_engine")
-    if resident is None or resident[0] != spec:
-        cache["compute_engine"] = (spec, resolve_engine(options.engine,
-                                                        batch_rows=batch))
-    return cache["compute_engine"][1]
-
-
 def _published_rank_wire(options: MaxTOptions) -> bool:
     """Whether a published-dataset run should map the pre-ranked variant.
 
@@ -454,8 +404,7 @@ def _published_rank_wire(options: MaxTOptions) -> bool:
             and not getattr(cls, "_rank_based", False))
 
 
-def _rank_workspace(stat, chunk_size: int, engine=None,
-                    engine_batch: int | None = None) -> KernelWorkspace:
+def _rank_workspace(stat, chunk_size: int) -> KernelWorkspace:
     """This rank's kernel workspace, session-resident when possible.
 
     Under a persistent session each rank keeps one
@@ -466,10 +415,8 @@ def _rank_workspace(stat, chunk_size: int, engine=None,
     cache = resident_cache()
     workspace = None if cache is None else cache.get("kernel_workspace")
     if not (isinstance(workspace, KernelWorkspace)
-            and workspace.compatible_with(stat, chunk_size, engine=engine,
-                                          engine_batch=engine_batch)):
-        workspace = KernelWorkspace.for_stat(stat, chunk_size, engine=engine,
-                                             engine_batch=engine_batch)
+            and workspace.compatible_with(stat, chunk_size)):
+        workspace = KernelWorkspace.for_stat(stat, chunk_size)
         if cache is not None:
             cache["kernel_workspace"] = workspace
     return workspace
@@ -491,10 +438,7 @@ def _run_ledger(comm, options: MaxTOptions, labels, stat, observed,
     covered, block_size, max_block, tag = plan
     blocks, runs = plan_ledger(options.nperm, comm.size, covered=covered,
                                block_size=block_size, max_block=max_block)
-    ops = _resolve_run_engine(options)
-    engine_batch = options.engine_batch or None
-    workspace = _rank_workspace(stat, options.chunk_size, engine=ops,
-                                engine_batch=engine_batch)
+    workspace = _rank_workspace(stat, options.chunk_size)
     delay = injected_delay(comm.rank)
     if options.store:
         # Stored mode: each block replays a materialised slice of the
@@ -516,7 +460,6 @@ def _run_ledger(comm, options: MaxTOptions, labels, stat, observed,
             chunk_size=options.chunk_size,
             first_is_observed=(block.start == 0),
             workspace=workspace,
-            engine=ops, engine_batch=engine_batch,
         )
         if delay > 0:
             time.sleep(delay * block.count)
@@ -634,8 +577,6 @@ def _pmaxt_run(
     chunk_size: int = DEFAULT_CHUNK,
     complete_limit: int = DEFAULT_COMPLETE_LIMIT,
     dtype: str = "float64",
-    engine: str = "auto",
-    engine_batch: int = 0,
     blas_threads: int | None = None,
     row_names: list[str] | None = None,
     checkpoint_dir: str | None = None,
@@ -711,8 +652,7 @@ def _pmaxt_run(
                 fixed_seed_sampling=fixed_seed_sampling, B=B, na=na,
                 nonpara=nonpara, comm=world_comm, seed=seed,
                 chunk_size=chunk_size, complete_limit=complete_limit,
-                dtype=dtype, engine=engine, engine_batch=engine_batch,
-                row_names=row_names,
+                dtype=dtype, row_names=row_names,
                 checkpoint_dir=checkpoint_dir,
                 checkpoint_interval=checkpoint_interval,
                 prior=prior if master else None,
@@ -761,8 +701,6 @@ def _pmaxt_run(
                 chunk_size=chunk_size,
                 complete_limit=complete_limit,
                 dtype=dtype,
-                engine=engine,
-                engine_batch=engine_batch,
             )
             if handle is not None:
                 # Published dataset: resolve the variant whose bytes

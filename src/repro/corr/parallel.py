@@ -90,7 +90,6 @@ def row_block(m: int, rank: int, size: int) -> tuple[int, int]:
 
 def pcor(X=None, Y=None, *, use: str = "everything",
          na: float | None = None,
-         engine: str = "auto",
          comm: Communicator | None = None,
          backend: str | None = None,
          ranks: int | None = None,
@@ -126,12 +125,6 @@ def pcor(X=None, Y=None, *, use: str = "everything",
     > ``cache_dir`` > the session's cache): a repeated correlation of the
     same bytes under the same NA policy is answered from disk.  The raw
     SPMD path (``comm=``) bypasses the cache, exactly as in pmaxT.
-
-    ``engine`` picks the array-module compute engine for the dense
-    correlation GEMM (see :mod:`repro.accel` and
-    :func:`repro.corr.cor`); it never enters the cache key — the NumPy
-    engine is the bit-identical reference and device engines agree
-    within floating-point tolerance.
     """
     resolved_cache = cache
     if resolved_cache is None and cache_dir is not None:
@@ -149,18 +142,18 @@ def pcor(X=None, Y=None, *, use: str = "everything",
             resolved_cache.hits += 1
             return entry["cor"]
         resolved_cache.misses += 1
-        result = _pcor_run(X, Y, use=use, na=na, engine=engine, comm=None,
+        result = _pcor_run(X, Y, use=use, na=na, comm=None,
                            backend=backend, ranks=ranks, session=session,
                            blas_threads=blas_threads, timeout=timeout)
         resolved_cache.save_array("pcor", key, {"cor": result})
         return result
 
-    return _pcor_run(X, Y, use=use, na=na, engine=engine, comm=comm,
+    return _pcor_run(X, Y, use=use, na=na, comm=comm,
                      backend=backend, ranks=ranks, session=session,
                      blas_threads=blas_threads, timeout=timeout)
 
 
-def _pcor_run(X, Y, *, use, na, engine, comm, backend, ranks, session,
+def _pcor_run(X, Y, *, use, na, comm, backend, ranks, session,
               blas_threads, timeout) -> np.ndarray | None:
     """The SPMD body of :func:`pcor` (cache orchestration lives above)."""
     if backend is not None or ranks is not None or session is not None:
@@ -169,7 +162,7 @@ def _pcor_run(X, Y, *, use, na, engine, comm, backend, ranks, session,
         def _job(world_comm: Communicator) -> np.ndarray | None:
             return pcor(X if world_comm.is_master else None,
                         Y if world_comm.is_master else None,
-                        use=use, na=na, engine=engine, comm=world_comm)
+                        use=use, na=na, comm=world_comm)
 
         return launch_master(backend, ranks, _job, comm=comm,
                              session=session, worker_fn=_session_worker,
@@ -190,15 +183,10 @@ def _pcor_run(X, Y, *, use, na, engine, comm, backend, ranks, session,
         else:
             X = np.asarray(X, dtype=np.float64)
         Y = None if Y is None else np.asarray(Y, dtype=np.float64)
-        # Fail fast on the master for an unknown/missing engine name; the
-        # validated name is what the workers receive.
-        from ..accel import resolve_engine
-
-        resolve_engine(engine)
-        meta = (Y is not None, use, na, route, engine)
+        meta = (Y is not None, use, na, route)
     else:
         meta = None
-    has_Y, use, na, route, engine = comm.bcast(meta, root=0)
+    has_Y, use, na, route = comm.bcast(meta, root=0)
     if route is not None:
         if not comm.is_master:
             X = attach_published_view(route)
@@ -213,7 +201,7 @@ def _pcor_run(X, Y, *, use, na, engine, comm, backend, ranks, session,
     start, count = row_block(m, comm.rank, comm.size)
     if count > 0:
         block = cor(X[start:start + count], Y if Y is not None else X,
-                    use=use, na=na, engine=engine)
+                    use=use, na=na)
     else:
         width = (Y if Y is not None else X).shape[0]
         block = np.empty((0, width), dtype=np.float64)

@@ -35,7 +35,7 @@ _USES = ("everything", "complete", "pairwise")
 
 
 def cor(X, Y=None, *, use: str = "everything",
-        na: float | None = None, engine=None) -> np.ndarray:
+        na: float | None = None) -> np.ndarray:
     """Pearson correlation between the rows of ``X`` (and optionally ``Y``).
 
     Parameters
@@ -50,14 +50,6 @@ def cor(X, Y=None, *, use: str = "everything",
         correlations, R's default), ``"complete"`` or ``"pairwise"``.
     na:
         Optional numeric missing-value code (as in the pmaxT interface).
-    engine:
-        Optional compute-engine name or :class:`~repro.accel.base.ArrayOps`
-        (see :mod:`repro.accel`).  A non-NumPy engine runs the dense
-        correlation GEMM on its device — the dominant cost for
-        ``use="everything"``/``"complete"`` — with results equal to the
-        reference within floating-point tolerance; the NumPy engine (and
-        ``None``) is the bit-identical reference.  ``use="pairwise"``
-        always runs the reference masked-GEMM path.
 
     Returns
     -------
@@ -66,13 +58,6 @@ def cor(X, Y=None, *, use: str = "everything",
     """
     if use not in _USES:
         raise DataError(f"use must be one of {_USES}, got {use!r}")
-    ops = None
-    if engine is not None:
-        from ..accel import resolve_engine
-
-        ops = resolve_engine(engine)
-        if ops.xp is np:          # the reference path IS the numpy engine
-            ops = None
     X = to_nan(X, na)
     symmetric = Y is None
     Y = X if symmetric else to_nan(Y, na)
@@ -92,13 +77,13 @@ def cor(X, Y=None, *, use: str = "everything",
             )
         X = X[:, keep]
         Y = Y[:, keep] if not symmetric else X
-        return _cor_dense(X, Y, ops=ops)
+        return _cor_dense(X, Y)
     if use == "everything":
-        return _cor_dense(X, Y, ops=ops)
+        return _cor_dense(X, Y)
     return _cor_pairwise(X, Y)
 
 
-def _cor_dense(X: np.ndarray, Y: np.ndarray, ops=None) -> np.ndarray:
+def _cor_dense(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Correlation with no masking; NaN inputs propagate like R."""
 
     def standardize(M):
@@ -110,16 +95,7 @@ def _cor_dense(X: np.ndarray, Y: np.ndarray, ops=None) -> np.ndarray:
         out[np.broadcast_to(scale == 0, out.shape)] = np.nan
         return out
 
-    Zx, Zy = standardize(X), standardize(Y)
-    if ops is None:
-        R = Zx @ Zy.T
-    else:
-        # Standardisation is O(mn) host work; the O(m k n) GEMM runs on
-        # the engine.  device_array never caches, so the transient
-        # standardized blocks do not outlive the call.
-        R = ops.to_host(ops.xp.matmul(ops.device_array(Zx),
-                                      ops.device_array(Zy).T))
-        R = np.asarray(R)
+    R = standardize(X) @ standardize(Y).T
     return np.clip(R, -1.0, 1.0, out=R)
 
 

@@ -18,7 +18,6 @@ __all__ = [
     "CommunicatorError",
     "CommAbort",
     "WorkerDeadError",
-    "EngineUnavailableError",
     "ServiceError",
     "QueueFullError",
     "SprintError",
@@ -97,26 +96,6 @@ class WorkerDeadError(CommunicatorError):
     def __init__(self, rank: int, message: str = ""):
         self.rank = rank
         super().__init__(f"worker rank {rank} died: {message}")
-
-
-class EngineUnavailableError(ReproError, RuntimeError):
-    """A requested compute engine's array module is not importable.
-
-    Raised by :func:`repro.accel.resolve_engine` when e.g.
-    ``engine="torch"`` is requested on a host without PyTorch installed.
-    Carries the engine name so callers can fall back programmatically;
-    the message names the extra that provides the module.
-    """
-
-    def __init__(self, engine: str, hint: str = ""):
-        self.engine = engine
-        detail = f" ({hint})" if hint else ""
-        super().__init__(
-            f"compute engine {engine!r} is not available: its array module "
-            f"is not installed{detail}; install the matching extra "
-            f"(e.g. pip install repro[{engine}]) or pick one of the "
-            f"available engines"
-        )
 
 
 class ServiceError(ReproError, RuntimeError):

@@ -162,28 +162,6 @@ class PermutationGenerator(ABC):
         self._position += count
         return batch
 
-    # -- compute-engine hooks -------------------------------------------------
-
-    def keystream_spec(self):
-        """Describe this generator's fixed-seed keystream, if it has one.
-
-        Counter-based generators return a
-        :class:`repro.accel.base.KeystreamSpec` so a compute engine can
-        reproduce their batches from raw Philox keys; stream and stored
-        generators return ``None``.
-        """
-        return None
-
-    def attach_engine(self, ops) -> bool:
-        """Route batched fixed-seed draws through a compute engine.
-
-        Returns ``True`` when the engine was attached (this generator is
-        counter-based and ``ops`` accelerates its keystream family).
-        ``attach_engine(None)`` detaches.  The default — stream and stored
-        generators — ignores the engine and returns ``False``.
-        """
-        return False
-
     # -- subclass hooks -------------------------------------------------------
 
     def _fill_batch(self, out: np.ndarray, count: int) -> np.ndarray:

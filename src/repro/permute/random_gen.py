@@ -10,7 +10,9 @@
     keyed by a counter-based bit generator (:mod:`repro.permute.keystream`):
     index ``i`` owns a fixed block of the counter space, so a batch of
     consecutive indices is generated with a handful of array operations and
-    is bit-identical to generating its rows one at a time.
+    is bit-identical to generating its rows one at a time.  Batches are
+    written straight into the caller's buffer by the keystream's
+    value-packed sort.
 
 ``"n"`` — *sequential stream*:
     a single RNG stream produces permutations in order; forwarding a
@@ -62,8 +64,8 @@ class _RandomBase(PermutationGenerator):
 
     Subclasses provide four hooks: the observed encoding, a single draw
     from a stream RNG, a batched draw from a stream RNG (must consume the
-    stream identically to repeated single draws), and a batched fixed-seed
-    draw for a run of consecutive indices.
+    stream identically to repeated single draws), and a fixed-seed fill
+    for a run of consecutive indices.
     """
 
     def __init__(self, nperm: int, width: int, seed: int, fixed_seed: bool):
@@ -72,8 +74,6 @@ class _RandomBase(PermutationGenerator):
         self.fixed_seed = bool(fixed_seed)
         self.supports_random_access = self.fixed_seed
         self._stream = None if self.fixed_seed else np.random.default_rng(self.seed)
-        self._engine = None
-        self._spec = None
 
     # -- family hooks ---------------------------------------------------------
 
@@ -93,29 +93,10 @@ class _RandomBase(PermutationGenerator):
         """
         raise NotImplementedError
 
-    def _draw_indexed(self, start: int, count: int) -> np.ndarray:
-        """Fixed-seed resamples for indices ``[start, start + count)``."""
+    def _fill_indexed(self, start: int, count: int, out: np.ndarray) -> None:
+        """Write fixed-seed resamples for ``[start, start + count)`` to
+        ``out``."""
         raise NotImplementedError
-
-    def _make_spec(self):
-        """The family's :class:`~repro.accel.base.KeystreamSpec`."""
-        raise NotImplementedError
-
-    # -- compute-engine routing -----------------------------------------------
-
-    def keystream_spec(self):
-        if not self.fixed_seed:
-            return None
-        if self._spec is None:
-            self._spec = self._make_spec()
-        return self._spec
-
-    def attach_engine(self, ops) -> bool:
-        if ops is not None and ops.accelerates(self.keystream_spec()):
-            self._engine = ops
-            return True
-        self._engine = None
-        return False
 
     # -- generator plumbing ---------------------------------------------------
 
@@ -129,7 +110,9 @@ class _RandomBase(PermutationGenerator):
             return self._observed()
         if not self.fixed_seed:  # pragma: no cover - guarded by base class
             raise PermutationError("sequential stream has no random access")
-        return self._draw_indexed(index, 1)[0]
+        out = np.empty((1, self.width), dtype=np.int64)
+        self._fill_indexed(index, 1, out)
+        return out[0]
 
     def _next(self) -> np.ndarray:
         if self.fixed_seed:
@@ -146,15 +129,8 @@ class _RandomBase(PermutationGenerator):
             filled = 1
         if count > filled:
             if self.fixed_seed:
-                if self._engine is not None:
-                    # Engine path: bit-identical by the keystream contract
-                    # (same Philox keys, any correct sort), filled in place.
-                    self._engine.fill_encodings(self._spec, pos + filled,
-                                                count - filled,
-                                                out[filled:count])
-                else:
-                    out[filled:count] = self._draw_indexed(pos + filled,
-                                                           count - filled)
+                self._fill_indexed(pos + filled, count - filled,
+                                   out[filled:count])
             else:
                 out[filled:count] = self._draw_stream_batch(self._stream,
                                                             count - filled)
@@ -190,6 +166,7 @@ class RandomLabelShuffle(_RandomBase):
         super().__init__(nperm, labels.size, seed, fixed_seed)
         self._labels = labels.copy()
         self._labels.flags.writeable = False
+        self._layout = keystream.LayoutFill(self._labels.reshape(1, -1))
 
     def _observed(self) -> np.ndarray:
         return self._labels.copy()
@@ -203,15 +180,8 @@ class RandomLabelShuffle(_RandomBase):
         # stream exactly like `count` successive rng.permutation calls.
         return rng.permuted(np.tile(self._labels, (count, 1)), axis=1)
 
-    def _draw_indexed(self, start: int, count: int) -> np.ndarray:
-        return keystream.label_permutations(self.seed, start, count,
-                                            self._labels)
-
-    def _make_spec(self):
-        from ..accel.base import KeystreamSpec
-
-        return KeystreamSpec("labels", self.seed, self.width,
-                             labels=self._labels)
+    def _fill_indexed(self, start: int, count: int, out: np.ndarray) -> None:
+        self._layout.fill(self.seed, start, count, out)
 
 
 class RandomSigns(_RandomBase):
@@ -238,13 +208,8 @@ class RandomSigns(_RandomBase):
         draws = rng.integers(0, 2, size=(count, self.width), dtype=np.int64)
         return draws * 2 - 1
 
-    def _draw_indexed(self, start: int, count: int) -> np.ndarray:
-        return keystream.sign_vectors(self.seed, start, count, self.width)
-
-    def _make_spec(self):
-        from ..accel.base import KeystreamSpec
-
-        return KeystreamSpec("signs", self.seed, self.width)
+    def _fill_indexed(self, start: int, count: int, out: np.ndarray) -> None:
+        out[...] = keystream.sign_vectors(self.seed, start, count, self.width)
 
 
 class RandomBlockShuffle(_RandomBase):
@@ -269,6 +234,7 @@ class RandomBlockShuffle(_RandomBase):
         self.nblocks = labels.size // self.k
         self._blocks = labels.reshape(self.nblocks, self.k).copy()
         self._blocks.flags.writeable = False
+        self._layout = keystream.LayoutFill(self._blocks)
 
     def _observed(self) -> np.ndarray:
         return self._blocks.reshape(-1).copy()
@@ -285,12 +251,5 @@ class RandomBlockShuffle(_RandomBase):
                         (count, 1, 1)).reshape(count * self.nblocks, self.k)
         return rng.permuted(tiled, axis=1).reshape(count, -1)
 
-    def _draw_indexed(self, start: int, count: int) -> np.ndarray:
-        return keystream.block_permutations(self.seed, start, count,
-                                            self._blocks)
-
-    def _make_spec(self):
-        from ..accel.base import KeystreamSpec
-
-        return KeystreamSpec("blocks", self.seed, self.width,
-                             blocks=self._blocks)
+    def _fill_indexed(self, start: int, count: int, out: np.ndarray) -> None:
+        self._layout.fill(self.seed, start, count, out)

@@ -19,8 +19,9 @@ in): the data matrix is zero-filled at missing cells and accompanied by a
 0/1 validity mask; per-class sums, counts and sums of squares then become
 dense GEMMs ``(m x n) @ (n x nb)`` over a whole batch of permutations, so the
 per-permutation cost is dominated by BLAS.  Degenerate rows (too few valid
-samples, zero variance) produce NaN, which the maxT engine treats as "never
-significant" — matching multtest's NA propagation.
+samples, zero variance) produce NaN, which the maxT kernel treats as "never
+significant" — matching multtest's NA propagation.  All of it is plain NumPy
+on host memory.
 
 Allocation discipline: at kernel scale the elementwise temporaries — a
 dozen ``(m, nb)`` matrices per batch — cost more than the GEMMs themselves.
@@ -73,28 +74,10 @@ COMPUTE_DTYPES: tuple[str, ...] = ("float64", "float32")
 ROW_BLOCK_ELEMENTS: int = 32768
 
 
-def row_block(m: int, nb: int, xp=np) -> int:
-    """Rows per block for an ``nb``-column batch over ``m`` rows.
-
-    Host NumPy blocks hold about :data:`ROW_BLOCK_ELEMENTS` elements;
-    device namespaces score the whole matrix as one block.
-    """
-    if xp is not np:
-        return m
+def row_block(m: int, nb: int) -> int:
+    """Rows per block for an ``nb``-column batch over ``m`` rows: about
+    :data:`ROW_BLOCK_ELEMENTS` elements per block."""
     return max(1, min(m, ROW_BLOCK_ELEMENTS // max(nb, 1)))
-
-
-def _default_ops():
-    """The shared NumPy reference engine (stateless for pool purposes)."""
-    global _NUMPY_OPS
-    if _NUMPY_OPS is None:
-        from ..accel.numpy_engine import NumpyEngine
-
-        _NUMPY_OPS = NumpyEngine()
-    return _NUMPY_OPS
-
-
-_NUMPY_OPS = None
 
 
 def class_member_counts(V, G, work: "WorkBuffers", key: str, dtype):
@@ -106,26 +89,25 @@ def class_member_counts(V, G, work: "WorkBuffers", key: str, dtype):
     one broadcastable ``(1, nb)`` row.  Both forms sum the same exact
     small integers in float, so the shortcut is bit-transparent while
     removing a whole GEMM from the batch.  When every encoding of the
-    batch has the same count (label shuffles keep the class sizes), a
-    host pool returns the row's ``(1, 1)`` leading view instead: the
+    batch has the same count (label shuffles keep the class sizes), the
+    row's ``(1, 1)`` leading view is returned instead: the
     arithmetic then broadcasts one scalar, the same IEEE operation on
     the same operand.  ``dtype`` is the compute dtype.
     """
-    xp = work.xp
     if V is None:
         out = work.take(key, (1, G.shape[1]), dtype)
-        xp.sum(G, axis=0, dtype=dtype, out=out[0])
-        if xp is np and out.min() == out.max():
+        np.sum(G, axis=0, dtype=dtype, out=out[0])
+        if out.min() == out.max():
             return out[:, :1]
         return out
-    return xp.matmul(V, G, out=work.take(key, (V.shape[0], G.shape[1]),
+    return np.matmul(V, G, out=work.take(key, (V.shape[0], G.shape[1]),
                                          dtype))
 
 
 def gemm_operand(encodings, work: "WorkBuffers", dtype):
     """The float ``(width, nb)`` right-hand side for the batch GEMMs."""
     G = work.take("G", (encodings.shape[1], encodings.shape[0]), dtype)
-    work.xp.copyto(G, encodings.T, casting="unsafe")
+    np.copyto(G, encodings.T, casting="unsafe")
     return G
 
 
@@ -147,8 +129,8 @@ def two_class_operands(encodings, work: "WorkBuffers", dtype,
     N1 = class_member_counts(None, G, work, "N1", dtype)
     # Every row's valid count is exactly n, so the (1, nb) subtraction
     # yields the same values an (m, nb) one would.
-    N0 = work.xp.subtract(dtype.type(encodings.shape[1]), N1,
-                          out=work.take("N0", N1.shape, dtype))
+    N0 = np.subtract(dtype.type(encodings.shape[1]), N1,
+                     out=work.take("N0", N1.shape, dtype))
     return G, N1, N0
 
 
@@ -160,10 +142,9 @@ def two_class_counts(operands, mask, n_valid, lo: int, hi: int,
     block."""
     G, N1, N0 = operands
     if N1 is None:
-        N1 = class_member_counts(work.constant(mask)[lo:hi], G, work, "N1",
-                                 dtype)
-        N0 = work.xp.subtract(work.constant(n_valid)[lo:hi, None], N1,
-                              out=work.take("N0", N1.shape, dtype))
+        N1 = class_member_counts(mask[lo:hi], G, work, "N1", dtype)
+        N0 = np.subtract(n_valid[lo:hi, None], N1,
+                         out=work.take("N0", N1.shape, dtype))
     return N1, N0
 
 
@@ -171,13 +152,12 @@ def mask_undefined(values, scale, N1, N0, least: int, work: "WorkBuffers"):
     """Set ``values`` to NaN where ``scale`` is zero or either class has
     fewer than ``least`` members; returns ``values``.  A broadcast count
     row or scalar with no small class is not OR-ed into the block mask."""
-    xp = work.xp
-    small = xp.less(N1, least, out=work.take("bad1", N1.shape, bool))
-    xp.logical_or(small, xp.less(N0, least, out=work.take(
+    small = np.less(N1, least, out=work.take("bad1", N1.shape, bool))
+    np.logical_or(small, np.less(N0, least, out=work.take(
         "bad2", N0.shape, bool)), out=small)
-    bad = xp.equal(scale, 0.0, out=work.take("bad3", values.shape, bool))
-    if tuple(small.shape) == tuple(bad.shape) or small.any():
-        xp.logical_or(bad, small, out=bad)
+    bad = np.equal(scale, 0.0, out=work.take("bad3", values.shape, bool))
+    if small.shape == bad.shape or small.any():
+        np.logical_or(bad, small, out=bad)
     values[bad] = np.nan
     return values
 
@@ -190,18 +170,9 @@ class WorkBuffers:
     allocation — a smaller request (the top row block, a tail batch) is a
     reshaped leading run of the same storage, never a strided slice.
     Nothing is zeroed: callers own the full contents of what they take.
-
-    The pool is bound to a compute engine
-    (:class:`~repro.accel.base.ArrayOps`): buffers are engine-native
-    arrays, :attr:`xp` is the engine's array namespace, and
-    :meth:`constant` mirrors a statistic's host constants into the
-    engine's memory.  The default engine is the NumPy reference, for
-    which every one of those operations is the identity — pool behaviour
-    (and the arithmetic routed through it) is bit-identical to an
-    engine-less pool.
     """
 
-    def __init__(self, ops=None):
+    def __init__(self):
         self._bufs: dict[str, Any] = {}
         self._dtypes: dict[str, np.dtype] = {}
         self._sizes: dict[str, int] = {}
@@ -209,20 +180,6 @@ class WorkBuffers:
         #: loop asks for the same few shapes on every block.  Capped (see
         #: :meth:`take`) so a stream of one-off shapes cannot grow it.
         self._views: dict[tuple, Any] = {}
-        self.ops = _default_ops() if ops is None else ops
-
-    @property
-    def xp(self):
-        """The engine's array namespace (NumPy itself for the reference)."""
-        return self.ops.xp
-
-    def constant(self, arr: np.ndarray):
-        """The engine-native mirror of a statistic's host constant."""
-        return self.ops.constant(arr)
-
-    def adopt_encodings(self, enc: np.ndarray):
-        """The engine-native operand for a host encoding batch."""
-        return self.ops.adopt_encodings(enc)
 
     def take(self, key: str, shape: tuple[int, ...], dtype=np.float64):
         view = self._views.get((key, shape, dtype))
@@ -234,7 +191,7 @@ class WorkBuffers:
         buf = self._bufs.get(key)
         if buf is None or self._dtypes[key] != want \
                 or self._sizes[key] < size:
-            buf = self.ops.empty(dims, want)
+            buf = np.empty(dims, dtype=want)
             self._bufs[key] = buf
             self._dtypes[key] = want
             self._sizes[key] = size
@@ -358,24 +315,21 @@ class TestStatistic(ABC):
     def _class_indicator(self, encodings, j: int,
                          work: WorkBuffers):
         """The ``(width, nb)`` float indicator of class-``j`` membership."""
-        xp = work.xp
         n, nb = encodings.shape[1], encodings.shape[0]
-        eq = xp.equal(encodings.T, j, out=work.take("eqT", (n, nb), bool))
+        eq = np.equal(encodings.T, j, out=work.take("eqT", (n, nb), bool))
         Gj = work.take(f"G{j}", (n, nb), self.compute_dtype)
-        xp.copyto(Gj, eq, casting="unsafe")
+        np.copyto(Gj, eq, casting="unsafe")
         return Gj
 
     # -- row order -------------------------------------------------------------
 
-    def order_rows(self, order: np.ndarray,
-                   work: WorkBuffers | None = None) -> bool:
+    def order_rows(self, order: np.ndarray) -> bool:
         """Permute the per-row operands in place so row ``i`` is ``order[i]``.
 
         ``order`` lists original row indices (the kernel passes the
         significance ordering).  Each operand is permuted through one
         transient copy; nothing second stays resident.  A repeat call with
-        the current order is an O(m) no-op.  ``work``'s engine drops any
-        device mirror of the permuted arrays.  Returns whether anything
+        the current order is an O(m) no-op.  Returns whether anything
         moved.
         """
         order = np.asarray(order, dtype=np.intp)
@@ -390,11 +344,8 @@ class TestStatistic(ABC):
             position = np.empty(self.m, dtype=np.intp)
             position[current] = np.arange(self.m)
             src = position[order]
-        arrays = self._row_arrays()
-        for arr in arrays:
+        for arr in self._row_arrays():
             arr[...] = arr[src]
-        if work is not None:
-            work.ops.forget(arrays)
         self._row_order = order.copy()
         return True
 
@@ -417,8 +368,7 @@ class TestStatistic(ABC):
         -------
         numpy.ndarray
             ``(m, nb)`` matrix in the compute dtype, original row order;
-            NaN marks undefined statistics.  A single-block result on a
-            device-engine pool stays engine-native.
+            NaN marks undefined statistics.
         """
         enc = np.asarray(encodings, dtype=np.int64)
         if enc.ndim == 1:
@@ -431,24 +381,21 @@ class TestStatistic(ABC):
             return np.empty((self.m, 0), dtype=self.compute_dtype)
         if work is None:
             work = WorkBuffers()
-        enc = work.adopt_encodings(enc)
-        return self._evaluate(enc, work, row_block(self.m, enc.shape[0],
-                                                   work.xp))
+        return self._evaluate(enc, work, row_block(self.m, enc.shape[0]))
 
     def _evaluate(self, enc, work: WorkBuffers, rows: int):
         """Score ``enc`` in blocks of ``rows``; original row order."""
         m, nb = self.m, enc.shape[0]
         order = self._row_order
-        with work.xp.errstate(invalid="ignore", divide="ignore"):
+        with np.errstate(invalid="ignore", divide="ignore"):
             operands = self.batch_operands(enc, work)
             if rows >= m and order is None:
                 return self.score_rows(operands, 0, m, work)
             out = np.empty((m, nb), dtype=self.compute_dtype)
             for lo in range(0, m, rows):
                 hi = min(lo + rows, m)
-                block = work.ops.to_host(self.score_rows(operands, lo, hi,
-                                                         work))
-                out[slice(lo, hi) if order is None else order[lo:hi]] = block
+                rows_out = slice(lo, hi) if order is None else order[lo:hi]
+                out[rows_out] = self.score_rows(operands, lo, hi, work)
         return out
 
     def observed(self) -> np.ndarray:
@@ -465,7 +412,7 @@ class TestStatistic(ABC):
         """
         work = WorkBuffers()
         encoding = self.observed_encoding()
-        enc = work.adopt_encodings(np.stack([encoding, encoding]))
+        enc = np.stack([encoding, encoding])
         return self._evaluate(enc, work, 4096)[:, 0]
 
     def observed_encoding(self) -> np.ndarray:
@@ -520,18 +467,15 @@ class TwoSampleMoments:
         fully-valid data; they broadcast transparently through the
         statistic arithmetic.
         """
-        xp = work.xp
         dtype = self.Xz.dtype
         G = operands[0]
         shape = (hi - lo, G.shape[1])
         N1, N0 = two_class_counts(operands, self.count_mask, self.n_valid,
                                   lo, hi, work, dtype)
-        S1 = xp.matmul(work.constant(self.Xz)[lo:hi], G,
-                       out=work.take("S1", shape, dtype))
-        Q1 = xp.matmul(work.constant(self.Xz2)[lo:hi], G,
-                       out=work.take("Q1", shape, dtype))
-        S0 = xp.subtract(work.constant(self.sum_all)[lo:hi, None], S1,
+        S1 = np.matmul(self.Xz[lo:hi], G, out=work.take("S1", shape, dtype))
+        Q1 = np.matmul(self.Xz2[lo:hi], G, out=work.take("Q1", shape, dtype))
+        S0 = np.subtract(self.sum_all[lo:hi, None], S1,
                          out=work.take("S0", shape, dtype))
-        Q0 = xp.subtract(work.constant(self.sumsq_all)[lo:hi, None], Q1,
+        Q0 = np.subtract(self.sumsq_all[lo:hi, None], Q1,
                          out=work.take("Q0", shape, dtype))
         return N1, S1, Q1, N0, S0, Q0

@@ -94,32 +94,29 @@ class BlockF(TestStatistic):
                 for j in range(self.k)]
 
     def score_rows(self, operands, lo, hi, work) -> np.ndarray:
-        xp = work.xp
         shape = (hi - lo, operands[0].shape[1])
         dt = self._Xz.dtype
-        bv = work.constant(self._bv)[lo:hi, None]
-        Xz = work.constant(self._Xz)[lo:hi]
+        bv = self._bv[lo:hi, None]
+        Xz = self._Xz[lo:hi]
         treat_raw = work.take("treat", shape, dt)
         treat_raw[...] = 0
         for Gj in operands:
             # treatment-j sum per row per permutation
-            Sj = xp.matmul(Xz, Gj, out=work.take("Sj", shape, dt))
-            xp.multiply(Sj, Sj, out=Sj)
+            Sj = np.matmul(Xz, Gj, out=work.take("Sj", shape, dt))
+            np.multiply(Sj, Sj, out=Sj)
             treat_raw += Sj
-        xp.divide(treat_raw, bv, out=treat_raw)
-        ss_treat = xp.subtract(treat_raw, work.constant(self._gg)[lo:hi, None],
-                               out=treat_raw)
-        xp.maximum(ss_treat, 0.0, out=ss_treat)
-        ss_resid = xp.subtract(work.constant(self._resid_base)[lo:hi, None],
-                               ss_treat, out=work.take("resid", shape, dt))
-        xp.maximum(ss_resid, 0.0, out=ss_resid)
+        np.divide(treat_raw, bv, out=treat_raw)
+        ss_treat = np.subtract(treat_raw, self._gg[lo:hi, None], out=treat_raw)
+        np.maximum(ss_treat, 0.0, out=ss_treat)
+        ss_resid = np.subtract(self._resid_base[lo:hi, None], ss_treat,
+                               out=work.take("resid", shape, dt))
+        np.maximum(ss_resid, 0.0, out=ss_resid)
         dof_t = self.k - 1.0
         # Capture the degenerate mask before ss_resid is divided in place.
-        bad = xp.equal(ss_resid, 0.0, out=work.take("bad", shape, bool))
-        xp.logical_or(bad, work.constant(self._few)[lo:hi, None], out=bad)
-        xp.divide(ss_treat, dof_t, out=ss_treat)
-        xp.divide(ss_resid, work.constant(self._dof_r)[lo:hi, None],
-                  out=ss_resid)
-        F = xp.divide(ss_treat, ss_resid, out=ss_treat)
+        bad = np.equal(ss_resid, 0.0, out=work.take("bad", shape, bool))
+        np.logical_or(bad, self._few[lo:hi, None], out=bad)
+        np.divide(ss_treat, dof_t, out=ss_treat)
+        np.divide(ss_resid, self._dof_r[lo:hi, None], out=ss_resid)
+        F = np.divide(ss_treat, ss_resid, out=ss_treat)
         F[bad] = np.nan
         return F

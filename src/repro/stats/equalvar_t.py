@@ -50,27 +50,26 @@ class EqualVarT(TestStatistic):
         # their products are folded in).  N1/N0 may be (1, nb) rows or
         # (1, 1) scalars on fully-valid data, so count-derived scratch
         # broadcasts.
-        xp = work.xp
         N1, S1, Q1, N0, S0, Q0 = self._moments.split(operands, lo, hi,
                                                       work)
         shape, dt = S1.shape, self.compute_dtype
-        mean1 = xp.divide(S1, N1, out=work.take("mean1", shape, dt))
-        mean0 = xp.divide(S0, N0, out=work.take("mean0", shape, dt))
-        xp.multiply(S1, mean1, out=S1)
-        xp.subtract(Q1, S1, out=Q1)        # ss1
-        xp.multiply(S0, mean0, out=S0)
-        xp.subtract(Q0, S0, out=Q0)        # ss0
-        xp.maximum(Q1, 0.0, out=Q1)
-        xp.maximum(Q0, 0.0, out=Q0)
-        dof = xp.add(N1, N0, out=work.take("dof", N1.shape, dt))
-        xp.subtract(dof, 2.0, out=dof)
-        xp.add(Q1, Q0, out=Q1)
-        xp.divide(Q1, dof, out=Q1)         # sp2
-        inv1 = xp.divide(1.0, N1, out=work.take("inv1", N1.shape, dt))
-        inv0 = xp.divide(1.0, N0, out=work.take("inv0", N0.shape, dt))
-        xp.add(inv1, inv0, out=inv1)
-        xp.multiply(Q1, inv1, out=Q1)
-        se = xp.sqrt(Q1, out=Q1)
-        xp.subtract(mean1, mean0, out=mean1)
-        t = xp.divide(mean1, se, out=mean1)
+        mean1 = np.divide(S1, N1, out=work.take("mean1", shape, dt))
+        mean0 = np.divide(S0, N0, out=work.take("mean0", shape, dt))
+        np.multiply(S1, mean1, out=S1)
+        np.subtract(Q1, S1, out=Q1)        # ss1
+        np.multiply(S0, mean0, out=S0)
+        np.subtract(Q0, S0, out=Q0)        # ss0
+        np.maximum(Q1, 0.0, out=Q1)
+        np.maximum(Q0, 0.0, out=Q0)
+        dof = np.add(N1, N0, out=work.take("dof", N1.shape, dt))
+        np.subtract(dof, 2.0, out=dof)
+        np.add(Q1, Q0, out=Q1)
+        np.divide(Q1, dof, out=Q1)         # sp2
+        inv1 = np.divide(1.0, N1, out=work.take("inv1", N1.shape, dt))
+        inv0 = np.divide(1.0, N0, out=work.take("inv0", N0.shape, dt))
+        np.add(inv1, inv0, out=inv1)
+        np.multiply(Q1, inv1, out=Q1)
+        se = np.sqrt(Q1, out=Q1)
+        np.subtract(mean1, mean0, out=mean1)
+        t = np.divide(mean1, se, out=mean1)
         return mask_undefined(t, se, N1, N0, 2, work)

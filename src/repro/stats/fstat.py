@@ -73,13 +73,11 @@ class FStat(TestStatistic):
                             for j, Gj in enumerate(indicators)]
 
     def score_rows(self, operands, lo, hi, work) -> np.ndarray:
-        xp = work.xp
         indicators, class_counts = operands
         shape = (hi - lo, indicators[0].shape[1])
         dt = self.compute_dtype
-        Xz = work.constant(self._Xz)[lo:hi]
-        mask = None if self._count_mask is None \
-            else work.constant(self._count_mask)[lo:hi]
+        Xz = self._Xz[lo:hi]
+        mask = None if self._count_mask is None else self._count_mask[lo:hi]
         # Accumulate sum_j S_j^2 / n_j and detect empty classes.
         between_raw = work.take("between", shape, dt)
         between_raw[...] = 0
@@ -88,33 +86,32 @@ class FStat(TestStatistic):
         for Gj, Nj in zip(indicators, class_counts):
             if Nj is None:
                 Nj = class_member_counts(mask, Gj, work, "Nj", dt)
-            Sj = xp.matmul(Xz, Gj, out=work.take("Sj", shape, dt))
-            empty = xp.equal(Nj, 0.0, out=work.take("empty", Nj.shape, bool))
-            with xp.errstate(invalid="ignore", divide="ignore"):
-                xp.multiply(Sj, Sj, out=Sj)
-                contrib = xp.divide(Sj, Nj, out=Sj)
-            if tuple(empty.shape) == tuple(contrib.shape):
-                xp.logical_or(broken, empty, out=broken)
+            Sj = np.matmul(Xz, Gj, out=work.take("Sj", shape, dt))
+            empty = np.equal(Nj, 0.0, out=work.take("empty", Nj.shape, bool))
+            with np.errstate(invalid="ignore", divide="ignore"):
+                np.multiply(Sj, Sj, out=Sj)
+                contrib = np.divide(Sj, Nj, out=Sj)
+            if empty.shape == contrib.shape:
+                np.logical_or(broken, empty, out=broken)
                 contrib[empty] = 0.0
             elif empty.any():   # (1, nb) row or (1, 1) scalar: mask columns
-                xp.logical_or(broken, empty, out=broken)
+                np.logical_or(broken, empty, out=broken)
                 contrib[:, slice(None) if empty.size == 1 else empty[0]] = 0.0
             between_raw += contrib
-        gg = work.constant(self._gg)[lo:hi, None]
-        ss_between = xp.subtract(between_raw, gg, out=between_raw)
-        ss_within = xp.subtract(work.constant(self._ss_total)[lo:hi, None],
-                                ss_between, out=work.take("within", shape, dt))
-        xp.maximum(ss_within, 0.0, out=ss_within)
-        xp.maximum(ss_between, 0.0, out=ss_between)
+        gg = self._gg[lo:hi, None]
+        ss_between = np.subtract(between_raw, gg, out=between_raw)
+        ss_within = np.subtract(self._ss_total[lo:hi, None], ss_between,
+                                out=work.take("within", shape, dt))
+        np.maximum(ss_within, 0.0, out=ss_within)
+        np.maximum(ss_between, 0.0, out=ss_between)
         dof_b = self.k - 1.0
-        dof_w = work.constant(self._dof_w)[lo:hi, None]
+        dof_w = self._dof_w[lo:hi, None]
         # Capture the zero-variance mask before ss_within is divided away.
-        zero = xp.equal(ss_within, 0.0, out=work.take("empty", shape, bool))
-        xp.logical_or(broken, work.constant(self._few)[lo:hi, None],
-                      out=broken)
-        xp.logical_or(broken, zero, out=broken)
-        xp.divide(ss_between, dof_b, out=ss_between)
-        xp.divide(ss_within, dof_w, out=ss_within)
-        F = xp.divide(ss_between, ss_within, out=ss_between)
+        zero = np.equal(ss_within, 0.0, out=work.take("empty", shape, bool))
+        np.logical_or(broken, self._few[lo:hi, None], out=broken)
+        np.logical_or(broken, zero, out=broken)
+        np.divide(ss_between, dof_b, out=ss_between)
+        np.divide(ss_within, dof_w, out=ss_within)
+        F = np.divide(ss_between, ss_within, out=ss_between)
         F[broken] = np.nan
         return F

@@ -70,27 +70,24 @@ class PairedT(TestStatistic):
 
     def batch_operands(self, encodings, work):
         """The float sign block."""
-        if not work.xp.isin(encodings, (-1, 1)).all():
+        if not np.isin(encodings, (-1, 1)).all():
             raise DataError("pairt encodings must be +/-1 sign vectors")
         return gemm_operand(encodings, work, self.compute_dtype)
 
     def score_rows(self, operands, lo, hi, work) -> np.ndarray:
-        xp = work.xp
         Z = operands
-        npv = work.constant(self._np_valid)[lo:hi, None]
+        npv = self._np_valid[lo:hi, None]
         shape, dt = (hi - lo, Z.shape[1]), self._Dz.dtype
-        S = xp.matmul(work.constant(self._Dz)[lo:hi], Z,
-                      out=work.take("S", shape, dt))
-        mean = xp.divide(S, npv, out=work.take("mean", shape, dt))
-        xp.multiply(S, mean, out=S)
-        xp.subtract(work.constant(self._sumsq)[lo:hi, None], S, out=S)
-        var = xp.divide(S, work.constant(self._np_valid_m1)[lo:hi, None],
-                        out=S)
-        xp.maximum(var, 0.0, out=var)
-        xp.divide(var, npv, out=var)
-        se = xp.sqrt(var, out=var)
-        t = xp.divide(mean, se, out=mean)
-        bad = xp.equal(se, 0.0, out=work.take("bad", shape, bool))
-        xp.logical_or(bad, work.constant(self._few)[lo:hi, None], out=bad)
+        S = np.matmul(self._Dz[lo:hi], Z, out=work.take("S", shape, dt))
+        mean = np.divide(S, npv, out=work.take("mean", shape, dt))
+        np.multiply(S, mean, out=S)
+        np.subtract(self._sumsq[lo:hi, None], S, out=S)
+        var = np.divide(S, self._np_valid_m1[lo:hi, None], out=S)
+        np.maximum(var, 0.0, out=var)
+        np.divide(var, npv, out=var)
+        se = np.sqrt(var, out=var)
+        t = np.divide(mean, se, out=mean)
+        bad = np.equal(se, 0.0, out=work.take("bad", shape, bool))
+        np.logical_or(bad, self._few[lo:hi, None], out=bad)
         t[bad] = np.nan
         return t

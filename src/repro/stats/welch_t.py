@@ -49,28 +49,27 @@ class WelchT(TestStatistic):
         # becomes the variance in place).  N1/N0 may be (1, nb) rows or
         # (1, 1) scalars on fully-valid data; their derived scratch
         # broadcasts.
-        xp = work.xp
         N1, S1, Q1, N0, S0, Q0 = self._moments.split(operands, lo, hi,
                                                       work)
         shape, dt = S1.shape, self.compute_dtype
-        mean1 = xp.divide(S1, N1, out=work.take("mean1", shape, dt))
-        mean0 = xp.divide(S0, N0, out=work.take("mean0", shape, dt))
-        xp.multiply(S1, mean1, out=S1)
-        xp.subtract(Q1, S1, out=Q1)
-        dof1 = xp.subtract(N1, 1.0, out=work.take("dof1", N1.shape, dt))
-        var1 = xp.divide(Q1, dof1, out=Q1)
-        xp.multiply(S0, mean0, out=S0)
-        xp.subtract(Q0, S0, out=Q0)
-        dof0 = xp.subtract(N0, 1.0, out=work.take("dof0", N0.shape, dt))
-        var0 = xp.divide(Q0, dof0, out=Q0)
+        mean1 = np.divide(S1, N1, out=work.take("mean1", shape, dt))
+        mean0 = np.divide(S0, N0, out=work.take("mean0", shape, dt))
+        np.multiply(S1, mean1, out=S1)
+        np.subtract(Q1, S1, out=Q1)
+        dof1 = np.subtract(N1, 1.0, out=work.take("dof1", N1.shape, dt))
+        var1 = np.divide(Q1, dof1, out=Q1)
+        np.multiply(S0, mean0, out=S0)
+        np.subtract(Q0, S0, out=Q0)
+        dof0 = np.subtract(N0, 1.0, out=work.take("dof0", N0.shape, dt))
+        var0 = np.divide(Q0, dof0, out=Q0)
         # Floating-point cancellation can leave tiny negative variances on
         # constant rows; clamp so the zero-variance guard below fires instead.
-        xp.maximum(var1, 0.0, out=var1)
-        xp.maximum(var0, 0.0, out=var0)
-        xp.divide(var1, N1, out=var1)
-        xp.divide(var0, N0, out=var0)
-        xp.add(var1, var0, out=var1)
-        se = xp.sqrt(var1, out=var1)
-        xp.subtract(mean1, mean0, out=mean1)
-        t = xp.divide(mean1, se, out=mean1)
+        np.maximum(var1, 0.0, out=var1)
+        np.maximum(var0, 0.0, out=var0)
+        np.divide(var1, N1, out=var1)
+        np.divide(var0, N0, out=var0)
+        np.add(var1, var0, out=var1)
+        se = np.sqrt(var1, out=var1)
+        np.subtract(mean1, mean0, out=mean1)
+        t = np.divide(mean1, se, out=mean1)
         return mask_undefined(t, se, N1, N0, 2, work)

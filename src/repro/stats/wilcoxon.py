@@ -67,21 +67,20 @@ class Wilcoxon(TestStatistic):
         # buffers; N1/N0 are (1, nb) rows or (1, 1) scalars on fully-valid
         # data.  E and SD take the counts' width: with scalar counts they
         # are one column per row, broadcast into W.
-        xp = work.xp
         G = operands[0]
         shape, dt = (hi - lo, G.shape[1]), self.compute_dtype
         N1, N0 = two_class_counts(operands, self._count_mask, self._n_valid,
                                   lo, hi, work, dt)
-        W = xp.matmul(work.constant(self._R)[lo:hi], G,
+        W = np.matmul(self._R[lo:hi], G,
                       out=work.take("W", shape, dt))
-        nvp = work.constant(self._nvp)[lo:hi, None]
+        nvp = self._nvp[lo:hi, None]
         per_count = (hi - lo, N1.shape[1])
-        expected = xp.multiply(N1, nvp, out=work.take("E", per_count, dt))
-        xp.divide(expected, 2.0, out=expected)
-        prod = xp.multiply(N0, N1, out=work.take("NN", N1.shape, dt))
-        sd = xp.multiply(prod, nvp, out=work.take("SD", per_count, dt))
-        xp.divide(sd, 12.0, out=sd)
-        xp.sqrt(sd, out=sd)
-        xp.subtract(W, expected, out=W)
-        z = xp.divide(W, sd, out=W)
+        expected = np.multiply(N1, nvp, out=work.take("E", per_count, dt))
+        np.divide(expected, 2.0, out=expected)
+        prod = np.multiply(N0, N1, out=work.take("NN", N1.shape, dt))
+        sd = np.multiply(prod, nvp, out=work.take("SD", per_count, dt))
+        np.divide(sd, 12.0, out=sd)
+        np.sqrt(sd, out=sd)
+        np.subtract(W, expected, out=W)
+        z = np.divide(W, sd, out=W)
         return mask_undefined(z, sd, N1, N0, 1, work)

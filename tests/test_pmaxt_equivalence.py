@@ -188,6 +188,12 @@ class TestDriverBehaviour:
         par = pmaxT(X, labels, B=100, seed=3)
         _assert_identical(serial, par, 1)
 
+    def test_pmaxt_matches_mt_maxt_at_p1_float32(self, two_class):
+        X, labels = two_class
+        serial = mt_maxT(X, labels, B=400, seed=5, dtype="float32")
+        par = pmaxT(X, labels, B=400, seed=5, dtype="float32")
+        _assert_identical(serial, par, 1)
+
     def test_profile_populated(self, two_class):
         X, labels = two_class
         res = pmaxT(X, labels, B=100)

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.options import build_generator, validate_options
 from repro.data import block_labels, two_class_labels
 from repro.errors import PermutationError
+from repro.permute import keystream
 from repro.permute.random_gen import (
     RandomBlockShuffle,
     RandomLabelShuffle,
@@ -174,3 +176,109 @@ class TestBlockShuffle:
             for b, block in enumerate(enc.reshape(6, 3)):
                 seen_per_block[b].add(tuple(block))
         assert all(len(s) >= 2 for s in seen_per_block)
+
+
+# -- the packed fill against the keystream reference --------------------------
+
+
+def _reference_rows(test, labels, seed, start, count):
+    """The reference keystream construction for indices [start, start+count)."""
+    if test == "pairt":
+        return keystream.sign_vectors(seed, start, count, labels.size // 2)
+    if test == "blockf":
+        return keystream.block_permutations(seed, start, count,
+                                            labels.reshape(-1, 3))
+    return keystream.label_permutations(seed, start, count, labels)
+
+
+class TestEncodingBitIdentity:
+    """Generator batches equal the reference keystream rows, bit for bit."""
+
+    @pytest.mark.parametrize("test,labels", [
+        ("t", np.array([0] * 9 + [1] * 8)),
+        ("pairt", np.array([0, 1] * 14)),
+        ("blockf", np.tile(np.arange(3), 5)),
+    ])
+    def test_streams_match_reference(self, test, labels):
+        options = validate_options(labels, test=test, B=700, seed=17)
+        gen = build_generator(options, labels)
+        # Windows straddle the 64-row batch size and end on an odd
+        # remainder; the first is the observed labelling alone.
+        start = 0
+        for count in (1, 63, 64, 170, 402):
+            got = gen.take_batch(count).copy()
+            if start == 0:
+                np.testing.assert_array_equal(got[0], gen.at(0))
+                got, start, count = got[1:], 1, count - 1
+            if count:
+                np.testing.assert_array_equal(
+                    got, _reference_rows(test, labels, 17, start, count))
+            start += count
+
+
+def _colliding_raw_keys(real, first, second, low, every=97):
+    """``raw_keys`` where, in every ``every``-th index, the keys of columns
+    ``first`` and ``second`` share their top bits: ``first`` gets all
+    ``low`` bits set and ``second`` none, so the full-key order puts
+    ``second`` first while the packed order follows the labels."""
+    def raw_keys(seed, start, count, words):
+        keys = real(seed, start, count, words).copy()
+        rows = np.flatnonzero((start + np.arange(count)) % every == 0)
+        top = keys[rows, first] & ~np.uint64(low)
+        keys[rows, first] = top | np.uint64(low)
+        keys[rows, second] = top
+        return keys
+    return raw_keys
+
+
+class TestPackedSortRescue:
+    """A top-bit key collision makes the packed order wrong; the exact
+    rescue must recompute the chunk through the reference argsort."""
+
+    @pytest.mark.parametrize("layout,first,second", [
+        # Labels: column 0 is class 0, the last column class 1 (1 bit).
+        (np.array([[0] * 7 + [1] * 6]), 0, 12),
+        # Blocks of 3 treatments (2 bits): columns 0 and 1 of block 0.
+        (np.tile(np.arange(3), 4).reshape(4, 3), 0, 1),
+    ], ids=["labels", "blocks"])
+    def test_collisions_match_reference(self, layout, first, second,
+                                        monkeypatch):
+        nbits = int(layout.max()).bit_length()
+        monkeypatch.setattr(keystream, "raw_keys", _colliding_raw_keys(
+            keystream.raw_keys, first, second, (1 << nbits) - 1))
+        rescued = []
+        real_arrange = keystream._arrange
+        monkeypatch.setattr(keystream, "_arrange", lambda keys, lay: (
+            rescued.append(keys.shape[0]) or real_arrange(keys, lay)))
+        fill = keystream.LayoutFill(layout)
+        assert fill.packed
+        # 700 indices span two 512-row chunks; both hold collisions.
+        got = np.empty((700, layout.size), dtype=np.int64)
+        fill.fill(5, 1, 700, got)
+        assert rescued == [512, 188]
+        if layout.shape[0] == 1:
+            want = keystream.label_permutations(5, 1, 700, layout[0])
+        else:
+            want = keystream.block_permutations(5, 1, 700, layout)
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("labels", [
+        np.array([0, 70000, 0, 70000, 1, 70000]),    # over 16 bits
+        np.array([4]),                               # width 1
+    ], ids=["wide-values", "width-1"])
+    def test_unpackable_labels_take_reference_path(self, labels):
+        assert not keystream.LayoutFill(labels.reshape(1, -1)).packed
+        gen = RandomLabelShuffle(labels, 120, seed=8)
+        got = gen.take_batch(120)
+        np.testing.assert_array_equal(got[0], labels)
+        np.testing.assert_array_equal(
+            got[1:], keystream.label_permutations(8, 1, 119, labels))
+
+    def test_unpackable_blocks_take_reference_path(self):
+        labels = np.tile(np.array([0, 1, 70000]), 4)
+        assert not keystream.LayoutFill(labels.reshape(4, 3)).packed
+        gen = RandomBlockShuffle(labels, 3, 90, seed=2)
+        got = gen.take_batch(90)
+        np.testing.assert_array_equal(
+            got[1:], keystream.block_permutations(2, 1, 89,
+                                                  labels.reshape(4, 3)))
