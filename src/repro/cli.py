@@ -70,11 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=available_backends(),
                         help="execution backend for --ranks > 1 "
                         f"(default: {DEFAULT_BACKEND})")
-    parser.add_argument("--blas-threads", type=int, default=None,
-                        metavar="T",
-                        help="per-rank BLAS threadpool cap (default: "
-                        "automatic cores//ranks for process backends; "
-                        "0 disables capping)")
     parser.add_argument("--session", action="store_true",
                         help="dispatch through a persistent backend "
                         "session (repro.mpi.open_session): the "
@@ -233,8 +228,6 @@ def _serve_main(argv: list[str]) -> int:
                         help="execution backend of each pool")
     parser.add_argument("--ranks", type=int, default=2,
                         help="world size of each pool (master included)")
-    parser.add_argument("--blas-threads", type=int, default=None,
-                        help="per-rank BLAS cap (0 disables capping)")
     parser.add_argument("--max-queue", type=int, default=16,
                         help="admission-queue depth before submissions are "
                         "rejected with 429 backpressure")
@@ -255,9 +248,8 @@ def _serve_main(argv: list[str]) -> int:
     try:
         manager = PoolManager(
             args.backend, max(1, args.ranks), pools=max(1, args.pools),
-            max_queue=args.max_queue, blas_threads=args.blas_threads,
-            idle_timeout=args.idle_timeout, job_timeout=args.job_timeout,
-            cache_dir=cache_dir,
+            max_queue=args.max_queue, idle_timeout=args.idle_timeout,
+            job_timeout=args.job_timeout, cache_dir=cache_dir,
         )
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -285,7 +277,6 @@ def main(argv: list[str] | None = None) -> int:
             B=args.b,
             nonpara=args.nonpara,
             dtype=args.dtype,
-            blas_threads=args.blas_threads,
             row_names=row_names,
             checkpoint_dir=args.checkpoint_dir,
             cache=cache,
@@ -297,13 +288,9 @@ def main(argv: list[str] | None = None) -> int:
             kwargs["seed"] = args.seed
 
         if args.session:
-            # The session fixes the BLAS policy at open time; pmaxT's own
-            # blas_threads= is rejected alongside session=.
             from .mpi import open_session
 
-            blas = kwargs.pop("blas_threads")
-            with open_session(args.backend, max(1, args.ranks),
-                              blas_threads=blas) as world:
+            with open_session(args.backend, max(1, args.ranks)) as world:
                 handle = world.publish(X, labels=classlabel)
                 result = pmaxT(handle, session=world, **kwargs)
                 session_stats = world.stats()

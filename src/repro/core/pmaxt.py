@@ -63,7 +63,6 @@ import numpy as np
 
 from ..errors import DataError, OptionError
 from ..mpi import Communicator, SUM, SerialComm
-from ..mpi.blasctl import blas_thread_limit
 from ..mpi.datasets import PublishedDataset, attach_published_view
 from ..mpi.session import BackendSession, resident_cache
 from ..permute import DEFAULT_COMPLETE_LIMIT, DEFAULT_SEED, StoredPermutations
@@ -181,7 +180,6 @@ def pmaxT(
     chunk_size: int = DEFAULT_CHUNK,
     complete_limit: int = DEFAULT_COMPLETE_LIMIT,
     dtype: str = "float64",
-    blas_threads: int | None = None,
     row_names: list[str] | None = None,
     checkpoint_dir: str | None = None,
     checkpoint_interval: int = 2_048,
@@ -237,8 +235,7 @@ def pmaxT(
     run_kwargs = dict(
         test=test, side=side, fixed_seed_sampling=fixed_seed_sampling,
         B=B, na=na, nonpara=nonpara, seed=seed, chunk_size=chunk_size,
-        complete_limit=complete_limit, dtype=dtype,
-        blas_threads=blas_threads, row_names=row_names,
+        complete_limit=complete_limit, dtype=dtype, row_names=row_names,
         checkpoint_dir=checkpoint_dir,
         checkpoint_interval=checkpoint_interval,
         timeout=timeout,
@@ -577,7 +574,6 @@ def _pmaxt_run(
     chunk_size: int = DEFAULT_CHUNK,
     complete_limit: int = DEFAULT_COMPLETE_LIMIT,
     dtype: str = "float64",
-    blas_threads: int | None = None,
     row_names: list[str] | None = None,
     checkpoint_dir: str | None = None,
     checkpoint_interval: int = 2_048,
@@ -615,15 +611,11 @@ def _pmaxt_run(
     (default) or ``"float32"`` (~2x BLAS throughput at ~1e-5 relative
     accuracy; the kernel's tie tolerance widens accordingly).
 
-    ``blas_threads`` caps each rank's BLAS threadpool.  Launched worlds
-    already cap each rank at ``max(1, cores // ranks)`` (the
-    oversubscription fix, see :mod:`repro.mpi.blasctl`); pass an explicit
-    value to override it, or ``0`` to disable capping.  On the
-    ``backend=``/``ranks=`` path the cap is scoped to the launched world;
-    on the ``comm=`` (user-managed SPMD) path and a plain serial call it
-    caps the calling rank's own pool while it computes, and the earlier
-    budget comes back when the call returns.  Answers are the same under
-    any cap.
+    Launched worlds cap each rank's BLAS threadpool at
+    ``max(1, cores // ranks)`` (the oversubscription fix, see
+    :mod:`repro.mpi.blasctl`), scoped to the world; a plain serial call
+    and the ``comm=`` (user-managed SPMD) path run under the caller's own
+    budget.  Answers are the same under any cap.
 
     ``checkpoint_dir`` enables the fault-tolerance extension (paper
     future-work item 1): the master persists the ledger's covered ranges
@@ -663,15 +655,10 @@ def _pmaxt_run(
         # queue there, so the callable must be picklable).
         return launch_master(backend, ranks, _job, comm=comm,
                              session=session, worker_fn=_session_worker,
-                             caller="pmaxT", blas_threads=blas_threads,
-                             timeout=timeout)
+                             caller="pmaxT", timeout=timeout)
 
     if comm is None:
         comm = SerialComm()
-    if blas_threads is not None and int(blas_threads) < 0:
-        raise OptionError(
-            f"blas_threads must be >= 0 (0 disables capping), "
-            f"got {blas_threads}")
     master = comm.is_master
     timer = SectionTimer()
 
@@ -769,9 +756,7 @@ def _pmaxt_run(
             raise DataError("not all ranks completed data creation")
 
     # -- Step 4: this rank's blocks under the master's ledger ---------------
-    # Every GEMM runs here, so this rank's own cap (blas_threads= on the
-    # comm= path or a plain serial call) is leased for this step only.
-    with timer.section("main_kernel"), blas_thread_limit(blas_threads or None):
+    with timer.section("main_kernel"):
         stat = build_statistic(options, data, labels, pre_ranked=pre_ranked)
         observed = compute_observed(stat, options.side)
         if master and expected is not None and not np.array_equal(

@@ -94,7 +94,6 @@ def pcor(X=None, Y=None, *, use: str = "everything",
          backend: str | None = None,
          ranks: int | None = None,
          session: BackendSession | None = None,
-         blas_threads: int | None = None,
          timeout: float | None = None,
          cache=None,
          cache_dir: str | None = None) -> np.ndarray | None:
@@ -144,17 +143,17 @@ def pcor(X=None, Y=None, *, use: str = "everything",
         resolved_cache.misses += 1
         result = _pcor_run(X, Y, use=use, na=na, comm=None,
                            backend=backend, ranks=ranks, session=session,
-                           blas_threads=blas_threads, timeout=timeout)
+                           timeout=timeout)
         resolved_cache.save_array("pcor", key, {"cor": result})
         return result
 
     return _pcor_run(X, Y, use=use, na=na, comm=comm,
                      backend=backend, ranks=ranks, session=session,
-                     blas_threads=blas_threads, timeout=timeout)
+                     timeout=timeout)
 
 
 def _pcor_run(X, Y, *, use, na, comm, backend, ranks, session,
-              blas_threads, timeout) -> np.ndarray | None:
+              timeout) -> np.ndarray | None:
     """The SPMD body of :func:`pcor` (cache orchestration lives above)."""
     if backend is not None or ranks is not None or session is not None:
         from ..mpi.backends import launch_master
@@ -166,8 +165,7 @@ def _pcor_run(X, Y, *, use, na, comm, backend, ranks, session,
 
         return launch_master(backend, ranks, _job, comm=comm,
                              session=session, worker_fn=_session_worker,
-                             caller="pcor", blas_threads=blas_threads,
-                             timeout=timeout)
+                             caller="pcor", timeout=timeout)
 
     if comm is None:
         comm = SerialComm()

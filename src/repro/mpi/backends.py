@@ -89,7 +89,6 @@ class Backend(ABC):
         self,
         ranks: int,
         *,
-        blas_threads: int | None = None,
         idle_timeout: float | None = None,
         job_timeout: float | None = None,
     ) -> BackendSession:
@@ -104,8 +103,7 @@ class Backend(ABC):
         worker ranks once.  ``idle_timeout``/``job_timeout`` only apply to
         persistent pools and are ignored here.
         """
-        return EphemeralSession(self, self.check_ranks(ranks),
-                                blas_threads=blas_threads)
+        return EphemeralSession(self, self.check_ranks(ranks))
 
     def check_ranks(self, ranks: int) -> int:
         ranks = int(ranks)
@@ -162,7 +160,6 @@ class ProcessBackend(Backend):
         self,
         ranks: int,
         *,
-        blas_threads: int | None = None,
         idle_timeout: float | None = None,
         job_timeout: float | None = None,
     ) -> BackendSession:
@@ -174,7 +171,6 @@ class ProcessBackend(Backend):
             self.session_comm_cls,
             self.check_ranks(ranks),
             name=self.name,
-            blas_threads=blas_threads,
             idle_timeout=idle_timeout,
             **kwargs,
         )
@@ -245,7 +241,6 @@ def open_session(
     backend: str | Backend | None = None,
     ranks: int | None = None,
     *,
-    blas_threads: int | None = None,
     idle_timeout: float | None = None,
     job_timeout: float | None = None,
     cache_dir: str | None = None,
@@ -279,24 +274,21 @@ def open_session(
     least-recently-used entries past the limits after every write, and
     the session sweeps it once more on close.
 
-    ``blas_threads`` fixes the per-rank BLAS policy for the session's
-    lifetime: ``None`` caps each rank at ``max(1, cores // ranks)`` (never
-    above the budget in force), ``0`` leaves the pools alone, and a
-    number caps at that; in-process sessions lease the cap from the
-    caller's pool for each job.  ``idle_timeout`` tears a persistent pool
-    down after that many idle seconds (transparently respawned by the
-    next call); ``job_timeout`` bounds each job's collectives and result
-    collection.  Each is ``None`` (the default) or in range — a positive finite
-    ``job_timeout``, a non-negative finite ``idle_timeout``, an integer
-    ``blas_threads`` >= 0 — or :class:`~repro.errors.OptionError` is
-    raised here, before any job runs.
+    Each rank's BLAS pool is capped at ``max(1, cores // ranks)``, never
+    above the budget in force (:func:`~repro.mpi.blasctl.rank_cap`);
+    in-process sessions lease the cap from the caller's pool for each job.
+    ``idle_timeout`` tears a persistent pool down after that many idle
+    seconds (transparently respawned by the next call); ``job_timeout``
+    bounds each job's collectives and result collection.  Each is ``None``
+    (the default) or in range — a positive finite ``job_timeout``, a
+    non-negative finite ``idle_timeout`` — or
+    :class:`~repro.errors.OptionError` is raised here, before any job runs.
     """
-    _check_world_options(blas_threads, idle_timeout, job_timeout)
+    _check_world_options(idle_timeout, job_timeout)
     spec = DEFAULT_BACKEND if backend is None else backend
     nranks = 1 if ranks is None else int(ranks)
     session = resolve_backend(spec).open_session(
-        nranks, blas_threads=blas_threads, idle_timeout=idle_timeout,
-        job_timeout=job_timeout)
+        nranks, idle_timeout=idle_timeout, job_timeout=job_timeout)
     if cache_dir is not None:
         from ..core.checkpoint import ResultCache
 
@@ -319,7 +311,6 @@ def launch_master(
     session: BackendSession | None = None,
     worker_fn: SpmdFunction | None = None,
     caller: str = "this function",
-    blas_threads: int | None = None,
     timeout: float | None = None,
 ) -> Any:
     """Launch (or reuse) a world for a convenience call; return rank 0's result.
@@ -341,20 +332,17 @@ def launch_master(
     supports both launch paths, as pmaxT/pcor's are (their worker halves
     take every input from the master's broadcasts).
 
-    ``blas_threads`` caps each rank's BLAS threadpool for the duration of
-    the world (``0`` disables capping).  Without it every world, in-process
-    or not, caps each rank at ``max(1, cores // ranks)``, never above the
-    budget already in force (:func:`~repro.mpi.blasctl.rank_cap`).  The
-    ranks of an in-process world share the caller's pool, which gets its
-    earlier budget back once the world completes, even when other worlds
-    overlap it.  A session fixes the policy when it is opened, so
-    combining ``session=`` with ``blas_threads=`` is rejected.
+    Every world, in-process or not, caps each rank's BLAS threadpool at
+    ``max(1, cores // ranks)``, never above the budget already in force
+    (:func:`~repro.mpi.blasctl.rank_cap`).  The ranks of an in-process
+    world share the caller's pool, which gets its earlier budget back once
+    the world completes, even when other worlds overlap it.
 
     ``timeout`` bounds the job's execution in seconds (collectives and
     result collection) on either launch path; expiry raises
     :class:`~repro.errors.CommunicatorError`.
     """
-    from ..errors import DataError, OptionError
+    from ..errors import DataError
 
     if session is not None:
         if comm is not None:
@@ -365,10 +353,6 @@ def launch_master(
             raise DataError(
                 f"session= already fixes the backend and rank count; "
                 f"drop backend=/ranks= when passing a session to {caller}")
-        if blas_threads is not None:
-            raise OptionError(
-                "blas_threads is fixed when the session is opened; pass "
-                "it to open_session(...) instead")
         return session.run(fn, worker_fn=worker_fn, timeout=timeout)[0]
     if comm is not None:
         raise DataError(
@@ -376,7 +360,7 @@ def launch_master(
             f"ranks= ({caller} launches the world), not both")
     spec = DEFAULT_BACKEND if backend is None else backend
     nranks = 1 if ranks is None else int(ranks)
-    one_shot = EphemeralSession(resolve_backend(spec), nranks, blas_threads=blas_threads)
+    one_shot = EphemeralSession(resolve_backend(spec), nranks)
     with one_shot:
         return one_shot.run(fn, timeout=timeout)[0]
 

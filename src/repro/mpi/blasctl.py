@@ -5,7 +5,7 @@ an unconfigured BLAS happily spins up one thread per core *per rank*:
 ``ranks x cores`` runnable threads on ``cores`` CPUs, thrashing caches and
 the scheduler exactly when the paper's scaling argument assumes one busy
 core per rank.  The classic fix is capping each rank's BLAS pool so that
-``ranks x blas_threads <= cores``.
+``ranks x threads per rank <= cores``.
 
 ``threadpoolctl`` is the standard tool for this, but it is an optional
 dependency; this module implements the minimal subset needed here with
@@ -16,14 +16,15 @@ no controllable BLAS is found — correctness never depends on this module,
 only throughput.  Answers do not depend on the cap either
 (:meth:`repro.stats.base.TestStatistic.observed`).
 
-One policy, :func:`rank_cap`, covers every world: ``blas_threads=None``
-caps each rank at ``max(1, cores // ranks)`` but never above the budget in
-force, ``0`` leaves the pool alone, and an explicit value wins.  A
-``processes``/``shm`` worker applies it for life (:func:`apply_worker_cap`);
-a persistent pool's master and every in-process world lease it for the job
-(:func:`blas_thread_limit`).  Overlapping leases from different threads
-form a multiset: the pool runs at the smallest active cap, and the budget
-from before the first lease returns when the last one ends.
+One policy, :func:`rank_cap`, covers every world: each rank is capped at
+``max(1, cores // ranks)``, never above the budget in force (the pool's own,
+or a stricter ``*_NUM_THREADS`` the user exported, which is how to lower
+it).  A ``processes``/``shm`` worker applies it for life
+(:func:`apply_worker_cap`); a persistent pool's master and every in-process
+world lease it for the job (:func:`blas_thread_limit`).  Overlapping leases
+from different threads form a multiset: the pool runs at the smallest
+active cap, and the budget from before the first lease returns when the
+last one ends.
 
 A rank keeps its cap for its whole job.  The ledger scheduler
 (:mod:`repro.core.steal`) does not widen a rank's pool when its peers go
@@ -50,7 +51,6 @@ __all__ = [
     "recommended_blas_threads",
     "rank_cap",
     "apply_worker_cap",
-    "worker_cap_override",
 ]
 
 #: Environment variables that cap the threadpool of a BLAS/OpenMP runtime
@@ -158,7 +158,7 @@ def set_blas_threads(n: int) -> int | None:
     """
     n = int(n)
     if n < 1:
-        raise ValueError(f"blas_threads must be >= 1, got {n}")
+        raise ValueError(f"BLAS thread count must be >= 1, got {n}")
     controls = _probe()
     if not controls:
         return None
@@ -174,20 +174,16 @@ _base_budget: int | None = None
 
 
 @contextmanager
-def blas_thread_limit(n: int | None):
+def blas_thread_limit(n: int):
     """Lease a cap of ``n`` BLAS threads for the ``with`` block.
 
     The pool runs at the smallest cap any lease holds; the last lease to
-    end restores the budget from before the first.  ``None`` leaves the
-    pool alone.
+    end restores the budget from before the first.
     """
     global _base_budget
-    if n is None:
-        yield
-        return
     n = int(n)
     if n < 1:
-        raise ValueError(f"blas_threads must be >= 1, got {n}")
+        raise ValueError(f"BLAS thread count must be >= 1, got {n}")
     with _lease_lock:
         if not _leases:
             _base_budget = get_blas_threads()
@@ -237,41 +233,14 @@ def recommended_blas_threads(ranks: int) -> int:
     return max(1, effective_cpu_count() // max(1, int(ranks)))
 
 
-#: Environment override consulted by the worker bootstrap when no explicit
-#: ``blas_threads`` reaches it (how :func:`worker_cap_override` ships the
-#: policy across the Backend.run interface, whose signature predates it).
-_CAP_ENV_VAR = "REPRO_BLAS_THREADS"
+def rank_cap(ranks: int) -> int:
+    """The BLAS cap of one rank in a ``ranks``-rank world.
 
-
-@contextmanager
-def worker_cap_override(blas_threads: int):
-    """Ship a worker-bootstrap cap policy through the environment.
-
-    Worlds are forked while this context is active, so their bootstraps
-    see the policy; the caller's environment is restored on exit.
-    """
-    previous = os.environ.get(_CAP_ENV_VAR)
-    os.environ[_CAP_ENV_VAR] = str(int(blas_threads))
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(_CAP_ENV_VAR, None)
-        else:
-            os.environ[_CAP_ENV_VAR] = previous
-
-
-def rank_cap(ranks: int, blas_threads: int | None) -> int | None:
-    """The BLAS cap of one rank in a ``ranks``-rank world, ``None`` = no cap.
-
-    ``0`` leaves the pool alone and an explicit value wins.  ``None`` is
-    the automatic ``max(1, cores // ranks)``, which may only lower the
-    budget in force: the pool's own from before any lease, or a stricter
-    ``*_NUM_THREADS`` limit exported by the user or a scheduler (e.g.
+    ``max(1, cores // ranks)``, which may only lower the budget in force:
+    the pool's own from before any lease, or a stricter ``*_NUM_THREADS``
+    limit exported by the user or a scheduler (e.g.
     ``OPENBLAS_NUM_THREADS=1`` on a shared node).
     """
-    if blas_threads is not None:
-        return int(blas_threads) or None
     with _lease_lock:
         budget = _base_budget if _leases else get_blas_threads()
     cap = recommended_blas_threads(ranks)
@@ -287,21 +256,14 @@ def rank_cap(ranks: int, blas_threads: int | None) -> int | None:
     return cap
 
 
-def apply_worker_cap(world_size: int, blas_threads: int | None) -> None:
+def apply_worker_cap(world_size: int) -> None:
     """Bootstrap hook run inside each ``processes``/``shm`` worker.
 
-    Applies :func:`rank_cap` for the worker's lifetime; ``None`` first
-    defers to a :func:`worker_cap_override` policy if one is set.
-    Workers are throwaway processes, so exporting the ``*_NUM_THREADS``
-    variables here cannot leak into the parent.
+    Applies :func:`rank_cap` for the worker's lifetime.  Workers are
+    throwaway processes, so exporting the ``*_NUM_THREADS`` variables here
+    cannot leak into the parent.
     """
-    if blas_threads is None:
-        env = os.environ.get(_CAP_ENV_VAR)
-        if env:
-            blas_threads = int(env)
-    cap = rank_cap(world_size, blas_threads)
-    if cap is None:
-        return
+    cap = rank_cap(world_size)
     for var in _THREAD_ENV_VARS:
         os.environ[var] = str(cap)
     set_blas_threads(cap)

@@ -287,16 +287,16 @@ class ProcessComm(Communicator):
 
 
 def _worker(comm_cls, fn, rank, size, inboxes, results,
-            timeout, blas_threads=None):  # pragma: no cover
+            timeout):  # pragma: no cover
     # (covered indirectly — runs in the child process)
     try:
         # Cap this rank's BLAS pool before any GEMM spins it up: with
         # `size` ranks sharing the host, an uncapped pool would schedule
         # size x cores runnable threads (the classic oversubscription
-        # thrash).  None = auto cap; 0 = leave the pool alone.
+        # thrash).
         from .blasctl import apply_worker_cap
 
-        apply_worker_cap(size, blas_threads)
+        apply_worker_cap(size)
         comm = comm_cls(rank, size, inboxes, timeout)
         try:
             results.put((rank, True, fn(comm)))
@@ -336,7 +336,6 @@ def run_spmd_processes(
     size: int,
     timeout: float = _DEFAULT_TIMEOUT,
     comm_cls: type[ProcessComm] = ProcessComm,
-    blas_threads: int | None = None,
 ) -> list[Any]:
     """Run ``fn(comm)`` on ``size`` OS processes; return rank-ordered results.
 
@@ -349,10 +348,8 @@ def run_spmd_processes(
     :class:`ProcessComm`); :func:`~repro.mpi.shm.run_spmd_shm` reuses this
     driver with :class:`~repro.mpi.shm.ShmComm`.
 
-    ``blas_threads`` caps each rank's BLAS threadpool before ``fn`` runs:
-    ``None`` (default) applies the automatic ``max(1, cores // size)``
-    anti-oversubscription cap, an explicit integer forces that budget, and
-    ``0`` leaves the pool untouched (see :mod:`repro.mpi.blasctl`).
+    Each rank caps its BLAS threadpool at ``max(1, cores // size)`` before
+    ``fn`` runs (:func:`~repro.mpi.blasctl.rank_cap`).
     """
     if size <= 0:
         raise CommunicatorError(f"world size must be positive, got {size}")
@@ -362,7 +359,7 @@ def run_spmd_processes(
     procs = [
         ctx.Process(
             target=_worker,
-            args=(comm_cls, fn, rank, size, inboxes, results_q, timeout, blas_threads),
+            args=(comm_cls, fn, rank, size, inboxes, results_q, timeout),
             name=f"spmd-proc-{rank}",
         )
         for rank in range(size)

@@ -77,12 +77,11 @@ import weakref
 from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from numbers import Integral, Real
+from numbers import Real
 from typing import Any, Callable
 
 from ..errors import CommunicatorError, OptionError, WorkerDeadError
-from .blasctl import (apply_worker_cap, blas_thread_limit, rank_cap,
-                      worker_cap_override)
+from .blasctl import apply_worker_cap, blas_thread_limit, rank_cap
 from .comm import Communicator
 from .processes import _DEFAULT_TIMEOUT, _join_or_kill, ProcessComm
 
@@ -318,17 +317,13 @@ def _is_number(value: Any) -> bool:
     return isinstance(value, Real) and not isinstance(value, bool)
 
 
-def _check_world_options(
-    blas_threads: Any = None,
-    idle_timeout: Any = None,
-    job_timeout: Any = None,
-) -> int | None:
-    """Validate a session's world options; return ``blas_threads`` as int.
+def _check_world_options(idle_timeout: Any = None,
+                         job_timeout: Any = None) -> None:
+    """Validate a session's timeouts.
 
-    ``None`` leaves any option at its default.  Otherwise ``job_timeout``
-    must be a positive finite number of seconds, ``idle_timeout`` a
-    non-negative finite one, and ``blas_threads`` an integer >= 0 (0
-    disables capping).  Checked when a session opens, so a bad value
+    ``None`` leaves either at its default.  Otherwise ``job_timeout`` must
+    be a positive finite number of seconds and ``idle_timeout`` a
+    non-negative finite one.  Checked when a session opens, so a bad value
     fails there instead of in every job.
     """
     if job_timeout is not None and not (
@@ -345,18 +340,6 @@ def _check_world_options(
             f"idle_timeout must be a non-negative finite number of seconds "
             f"or None, got {idle_timeout!r}"
         )
-    if blas_threads is None:
-        return None
-    if not (
-        isinstance(blas_threads, Integral)
-        and not isinstance(blas_threads, bool)
-        and blas_threads >= 0
-    ):
-        raise OptionError(
-            f"blas_threads must be an integer >= 0 (0 disables capping) "
-            f"or None, got {blas_threads!r}"
-        )
-    return int(blas_threads)
 
 
 class EphemeralSession(BackendSession):
@@ -370,10 +353,9 @@ class EphemeralSession(BackendSession):
     survive across jobs.
     """
 
-    def __init__(self, backend, ranks: int, *, blas_threads: int | None = None):
+    def __init__(self, backend, ranks: int):
         super().__init__(ranks)
         self._backend = backend
-        self._blas_threads = _check_world_options(blas_threads)
         # Worker processes are throwaway, so only in-process worlds can
         # meaningfully keep per-rank state warm across jobs.
         self._caches: list[dict] | None = (
@@ -420,19 +402,14 @@ class EphemeralSession(BackendSession):
         return cached_job
 
     def _run_capped(self, job: SpmdFunction, timeout: float | None) -> list[Any]:
-        backend, ranks, blas = self._backend, self._ranks, self._blas_threads
+        backend, ranks = self._backend, self._ranks
         if backend.in_process:
             # The ranks share this process's pool: lease the world's cap
             # for the job.
-            with blas_thread_limit(rank_cap(ranks, blas)):
+            with blas_thread_limit(rank_cap(ranks)):
                 return backend.run(job, ranks, timeout=timeout)
-        if blas is None:
-            return backend.run(job, ranks, timeout=timeout)
-        # Process-type world: the per-rank policy (including 0 = uncapped)
-        # must reach the worker *bootstrap*, which runs before the job;
-        # ship it through the environment the forked children inherit.
-        with worker_cap_override(blas):
-            return backend.run(job, ranks, timeout=timeout)
+        # Process-type worlds cap each rank in its worker bootstrap.
+        return backend.run(job, ranks, timeout=timeout)
 
 
 def _pool_worker(
@@ -443,12 +420,11 @@ def _pool_worker(
     results_q,
     generation,
     job_timeout,
-    blas_threads,
     parent_pid,
     start_opseq=0,
 ):  # pragma: no cover - runs in the child process
     """Resident worker main: serve job frames until stopped or orphaned."""
-    apply_worker_cap(size, blas_threads)
+    apply_worker_cap(size)
     # The resident per-rank cache (see resident_cache()): created once per
     # pool incarnation, shared by every job this worker serves.
     _LOCAL.cache = {}
@@ -624,11 +600,9 @@ class WorkerPoolSession(BackendSession):
         Per-rank communicator class (:class:`~repro.mpi.processes.ProcessComm`
         or :class:`~repro.mpi.shm.ShmComm`).
     ranks:
-        World size, master included.
-    blas_threads:
-        Per-rank BLAS cap applied at worker bootstrap, and to the master's
-        pool for the duration of each job (``None`` = automatic
-        ``cores // ranks``, ``0`` = uncapped).
+        World size, master included.  Each rank's BLAS pool is capped at
+        :func:`~repro.mpi.blasctl.rank_cap` of it: a worker from its
+        bootstrap, the master for the duration of each job.
     idle_timeout:
         Seconds of inactivity after which the pool is torn down (the
         session stays open; the next job respawns).  ``None`` = never.
@@ -642,7 +616,6 @@ class WorkerPoolSession(BackendSession):
         ranks: int,
         *,
         name: str | None = None,
-        blas_threads: int | None = None,
         idle_timeout: float | None = None,
         job_timeout: float = _DEFAULT_TIMEOUT,
     ):
@@ -650,9 +623,7 @@ class WorkerPoolSession(BackendSession):
             raise CommunicatorError(f"ranks must be >= 1, got {ranks}")
         super().__init__(ranks)
         self._comm_cls = comm_cls
-        self._blas_threads = _check_world_options(
-            blas_threads, idle_timeout, job_timeout
-        )
+        _check_world_options(idle_timeout, job_timeout)
         self._idle_timeout = idle_timeout
         self._job_timeout = float(job_timeout)
         self.backend_name = name if name is not None else comm_cls.__name__
@@ -785,7 +756,7 @@ class WorkerPoolSession(BackendSession):
 
     def _run_master(self, fn: SpmdFunction) -> Any:
         with _cache_scope(self._master_cache), blas_thread_limit(
-                rank_cap(self._ranks, self._blas_threads)):
+                rank_cap(self._ranks)):
             return fn(self._master_comm)
 
     def _take_result(self, deadline: float) -> tuple:
@@ -908,7 +879,6 @@ class WorkerPoolSession(BackendSession):
                 self._results_q,
                 self._generation,
                 self._job_timeout,
-                self._blas_threads,
                 os.getpid(),
                 comm._opseq,
             ),
@@ -941,7 +911,6 @@ class WorkerPoolSession(BackendSession):
                     self._results_q,
                     gen,
                     self._job_timeout,
-                    self._blas_threads,
                     parent,
                 ),
                 name=f"spmd-pool-{self.backend_name}-{rank}",

@@ -201,16 +201,13 @@ def run_spmd_shm(
     fn: Callable[[Communicator], Any],
     size: int,
     timeout: float = _DEFAULT_TIMEOUT,
-    blas_threads: int | None = None,
 ) -> list[Any]:
     """Run ``fn(comm)`` on ``size`` OS processes with shared-memory arrays.
 
     Identical contract to :func:`~repro.mpi.processes.run_spmd_processes`
     (fork start method, rank-ordered results, failures re-raised in the
-    caller, the same per-rank ``blas_threads`` oversubscription cap) but
+    caller, the same per-rank BLAS oversubscription cap) but
     each rank receives a :class:`ShmComm`, so ``bcast_array`` moves numpy
     data through shared memory instead of pickled queue payloads.
     """
-    return run_spmd_processes(
-        fn, size, timeout=timeout, comm_cls=ShmComm, blas_threads=blas_threads
-    )
+    return run_spmd_processes(fn, size, timeout=timeout, comm_cls=ShmComm)

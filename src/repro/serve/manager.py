@@ -122,7 +122,6 @@ class PoolManager:
         *,
         pools: int = 2,
         max_queue: int = 16,
-        blas_threads: int | None = None,
         idle_timeout: float | None = None,
         job_timeout: float | None = None,
         cache_dir: str | None = None,
@@ -165,7 +164,6 @@ class PoolManager:
                 session = open_session(
                     backend,
                     ranks,
-                    blas_threads=blas_threads,
                     idle_timeout=idle_timeout,
                     job_timeout=job_timeout,
                 )

@@ -13,8 +13,8 @@ from repro.mpi import (
     run_spmd_processes,
     set_blas_threads,
 )
-from repro.mpi.backends import launch_master
-from repro.mpi.blasctl import apply_worker_cap, worker_cap_override
+from repro.mpi.backends import launch_master, open_session
+from repro.mpi.blasctl import _THREAD_ENV_VARS, effective_cpu_count, rank_cap
 
 
 def _worker_budget(comm):
@@ -59,27 +59,65 @@ class TestRuntimeControl:
             set_blas_threads(0)
 
     def test_recommended_cap(self):
-        from repro.mpi.blasctl import effective_cpu_count
-
         cores = effective_cpu_count()
         assert recommended_blas_threads(1) == max(1, cores)
         assert recommended_blas_threads(2 * cores) == 1
         assert recommended_blas_threads(cores) >= 1
 
-    def test_negative_blas_threads_rejected_cleanly(self):
-        from repro import pmaxT
-        from repro.errors import OptionError
 
-        X = __import__("numpy").ones((4, 4))
-        with pytest.raises(OptionError, match="blas_threads"):
-            pmaxT(X, [0, 0, 1, 1], B=10, blas_threads=-1)
-        with pytest.raises(OptionError, match="blas_threads"):
-            launch_master("processes", 2, lambda c: None, blas_threads=-2)
+def _stale_override_call(entry):
+    """A call of ``entry`` that still passes the removed ``blas_threads=``."""
+    from repro import pmaxT
+    from repro.corr import pcor
+    from repro.mpi.shm import run_spmd_shm
+    from repro.serve import PoolManager
+
+    X = np.ones((4, 4))
+    calls = {
+        "pmaxT": lambda: pmaxT(X, [0, 0, 1, 1], B=10, blas_threads=1),
+        "pcor": lambda: pcor(X, backend="threads", ranks=2, blas_threads=1),
+        "open_session": lambda: open_session("shm", 2, blas_threads=1),
+        "launch_master": lambda: launch_master("processes", 2,
+                                               _worker_budget,
+                                               blas_threads=1),
+        "PoolManager": lambda: PoolManager("threads", 1, pools=1,
+                                           blas_threads=1),
+        "run_spmd_processes": lambda: run_spmd_processes(_worker_budget, 2,
+                                                         blas_threads=1),
+        "run_spmd_shm": lambda: run_spmd_shm(_worker_budget, 2,
+                                             blas_threads=1),
+    }
+    return calls[entry]
+
+
+class TestRemovedOverride:
+    """The per-call cap override is gone; the derived cap is the only one."""
+
+    @pytest.mark.parametrize("entry", [
+        "pmaxT", "pcor", "open_session", "launch_master", "PoolManager",
+        "run_spmd_processes", "run_spmd_shm",
+    ])
+    def test_stale_keyword_fails_loudly(self, entry):
+        """A caller still passing ``blas_threads=`` fails before any world."""
+        with pytest.raises(TypeError, match="blas_threads"):
+            _stale_override_call(entry)()
+
+    @pytest.mark.parametrize("backend", ["processes", "shm"])
+    def test_stale_environment_variable_is_ignored(self, backend,
+                                                   monkeypatch):
+        """``REPRO_BLAS_THREADS`` no longer moves a forked rank's cap."""
+        if not blas_available():
+            pytest.skip("no controllable BLAS in this build")
+        cap = rank_cap(2)
+        monkeypatch.setenv("REPRO_BLAS_THREADS", str(cap + 1))
+        budgets = launch_master(backend, 2,
+                                lambda comm: comm.gather(get_blas_threads()))
+        assert budgets == [cap, cap]
 
 
 class TestWorkerBootstrap:
     def test_process_world_auto_caps(self):
-        """ranks x blas_threads must not exceed the host's cores."""
+        """ranks x threads per rank must not exceed the host's cores."""
         if not blas_available():
             pytest.skip("no controllable BLAS in this build")
         import os
@@ -89,85 +127,42 @@ class TestWorkerBootstrap:
         assert all(b is not None and b * 2 <= max(2, cores)
                    for b in budgets)
 
-    def test_process_world_explicit_cap(self):
-        if not blas_available():
-            pytest.skip("no controllable BLAS in this build")
-        budgets = run_spmd_processes(_worker_budget, 2, blas_threads=1)
-        assert budgets == [1, 1]
-
-    def test_zero_disables_capping(self):
-        """blas_threads=0 must leave the inherited pool untouched."""
-        if not blas_available():
-            pytest.skip("no controllable BLAS in this build")
-        parent = get_blas_threads()
-        budgets = run_spmd_processes(_worker_budget, 2, blas_threads=0)
-        assert budgets == [parent, parent]
-
-    def test_apply_worker_cap_zero_is_noop(self):
-        before = get_blas_threads()
-        apply_worker_cap(4, 0)
-        assert get_blas_threads() == before
-
     def test_worker_exports_env_for_late_loaded_runtimes(self):
-        envs = run_spmd_processes(_worker_env, 2, blas_threads=1)
-        assert envs == ["1", "1"]
+        envs = run_spmd_processes(_worker_env, 2)
+        assert envs == [str(rank_cap(2))] * 2
 
-    def test_worker_cap_override_restores_environment(self):
+
+    @pytest.mark.parametrize("backend", ["processes", "shm"])
+    def test_worker_export_stays_in_the_worker(self, backend):
+        """The ``*_NUM_THREADS`` a worker exports never reach the parent."""
         import os
 
-        before = os.environ.get("REPRO_BLAS_THREADS")
-        with worker_cap_override(3):
-            assert os.environ["REPRO_BLAS_THREADS"] == "3"
-        assert os.environ.get("REPRO_BLAS_THREADS") == before
+        before = {var: os.environ.get(var) for var in _THREAD_ENV_VARS}
+        envs = launch_master(backend, 2,
+                             lambda comm: comm.gather(_worker_env(comm)))
+        assert envs == [str(rank_cap(2))] * 2
+        assert {var: os.environ.get(var)
+                for var in _THREAD_ENV_VARS} == before
 
 
 class TestLaunchMaster:
-    def test_blas_threads_reaches_every_rank(self):
+    def test_cap_reaches_every_shm_rank(self):
         if not blas_available():
             pytest.skip("no controllable BLAS in this build")
         budgets = launch_master("shm", 2,
-                                lambda comm: comm.gather(get_blas_threads()),
-                                blas_threads=1)
-        assert budgets == [1, 1]
-
-    def test_zero_reaches_the_worker_bootstrap(self):
-        """launch_master(blas_threads=0) must defeat the automatic cap."""
-        if not blas_available():
-            pytest.skip("no controllable BLAS in this build")
-        parent = get_blas_threads()
-        budgets = launch_master("processes", 2,
-                                lambda comm: comm.gather(get_blas_threads()),
-                                blas_threads=0)
-        assert budgets == [parent, parent]
+                                lambda comm: comm.gather(get_blas_threads()))
+        assert budgets == [rank_cap(2)] * 2
 
     def test_in_process_backend_restores_budget(self):
         if not blas_available():
             pytest.skip("no controllable BLAS in this build")
-        before = get_blas_threads()
-        inside = launch_master("threads", 2,
-                               lambda comm: get_blas_threads(),
-                               blas_threads=1)
-        assert inside == 1
-        assert get_blas_threads() == before
-
-    def test_pmaxt_accepts_blas_threads(self):
-        from repro import mt_maxT, pmaxT
-
-        rng = np.random.default_rng(2)
-        X = rng.normal(size=(40, 10))
-        labels = np.array([0] * 5 + [1] * 5)
-        ref = mt_maxT(X, labels, B=80)
-        got = pmaxT(X, labels, B=80, backend="processes", ranks=2,
-                    blas_threads=1)
-        np.testing.assert_array_equal(ref.adjp, got.adjp)
-
-    def test_pcor_accepts_blas_threads(self):
-        from repro.corr import cor, pcor
-
-        rng = np.random.default_rng(3)
-        X = rng.normal(size=(20, 8))
-        np.testing.assert_array_equal(
-            cor(X), pcor(X, backend="threads", ranks=2, blas_threads=1))
+        with _wide_budget():
+            before = get_blas_threads()
+            cap = rank_cap(2)
+            inside = launch_master("threads", 2,
+                                   lambda comm: get_blas_threads())
+            assert inside == cap
+            assert get_blas_threads() == before
 
 
 class TestLeases:
@@ -186,19 +181,16 @@ class TestLeases:
         wide.__exit__(None, None, None)
         assert get_blas_threads() == before
 
-    def test_none_leaves_the_pool_alone(self):
-        before = get_blas_threads()
-        with blas_thread_limit(None):
-            assert get_blas_threads() == before
-
     def test_forked_worker_holds_no_parent_lease(self):
         """A worker forked inside a lease starts from the unleased budget."""
         if not blas_available():
             pytest.skip("no controllable BLAS in this build")
-        base = get_blas_threads()
+        unleased = rank_cap(1)
+        if unleased < 2:
+            pytest.skip("a 1-rank cap of 1 cannot tell a leaked lease")
         with blas_thread_limit(1):
-            budgets = run_spmd_processes(_worker_budget, 1, blas_threads=0)
-        assert budgets == [base]
+            budgets = run_spmd_processes(_worker_budget, 1)
+        assert budgets == [unleased]
 
 
 def _wide_budget():
@@ -213,8 +205,9 @@ class TestScopedCaps:
         return rng.normal(size=(300, 12)), np.array([0] * 6 + [1] * 6)
 
     @pytest.mark.parametrize("path", ["serial", "comm"])
-    def test_rank_cap_ends_with_the_call(self, data, monkeypatch, path):
-        """``blas_threads=`` on a serial or ``comm=`` call is not kept."""
+    def test_serial_call_keeps_the_callers_budget(self, data, monkeypatch,
+                                                  path):
+        """A serial or ``comm=`` call computes under the caller's budget."""
         if not blas_available():
             pytest.skip("no controllable BLAS in this build")
         import repro.core.pmaxt as pmaxt_module
@@ -233,9 +226,9 @@ class TestScopedCaps:
         comm = SerialComm() if path == "comm" else None
         with _wide_budget():
             budget = get_blas_threads()
-            pmaxT(X, y, B=20, blas_threads=1, comm=comm)
+            pmaxT(X, y, B=20, comm=comm)
             assert get_blas_threads() == budget
-        assert seen and set(seen) == {1}
+        assert seen and set(seen) == {budget}
 
     def test_in_process_world_default_cap(self):
         if not blas_available():
@@ -254,18 +247,7 @@ class TestScopedCaps:
             assert launch_master("threads", 1,
                                  lambda comm: get_blas_threads()) == 1
 
-    def test_zero_leaves_an_in_process_world_alone(self):
-        if not blas_available():
-            pytest.skip("no controllable BLAS in this build")
-        with _wide_budget():
-            budget = get_blas_threads()
-            assert launch_master("threads", 2,
-                                 lambda comm: get_blas_threads(),
-                                 blas_threads=0) == budget
-
-    @pytest.mark.parametrize("blas_threads", [1, None],
-                             ids=["explicit", "default"])
-    def test_overlapping_worlds_restore_the_budget(self, blas_threads):
+    def test_overlapping_worlds_restore_the_budget(self):
         """World A starts first and ends first; B ends after A returned."""
         if not blas_available():
             pytest.skip("no controllable BLAS in this build")
@@ -288,7 +270,7 @@ class TestScopedCaps:
             try:
                 if before is not None:
                     assert before.wait(30)
-                launch_master("threads", 2, fn, blas_threads=blas_threads)
+                launch_master("threads", 2, fn)
             except BaseException as exc:  # pragma: no cover - surfaced below
                 errors.append(exc)
             finally:
@@ -307,3 +289,53 @@ class TestScopedCaps:
                 t.join()
             assert not errors
             assert get_blas_threads() == budget
+
+
+class TestThreadEnvCeiling:
+    """An exported ``*_NUM_THREADS`` is the one way to lower a world's cap.
+
+    1-rank worlds on a host of 2+ CPUs, so the automatic cap alone would
+    be 2 or more.
+    """
+
+    @pytest.fixture
+    def automatic(self, monkeypatch):
+        if not blas_available():
+            pytest.skip("no controllable BLAS in this build")
+        if effective_cpu_count() < 2:
+            pytest.skip("a 1-rank cap of 1 cannot show a lower ceiling")
+        for var in _THREAD_ENV_VARS:
+            monkeypatch.delenv(var, raising=False)
+        with _wide_budget():
+            cap = rank_cap(1)
+            if cap < 2:
+                pytest.skip("this process's BLAS pool is capped at 1")
+            yield cap
+
+    def test_threads_world(self, automatic, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert launch_master("threads", 1,
+                             lambda comm: get_blas_threads()) == 1
+
+    def test_one_shot_processes_world(self, automatic, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert launch_master("processes", 1, _worker_budget) == 1
+
+    def test_shm_session_job(self, automatic, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        with open_session("shm", 1) as session:
+            assert session.run(_worker_budget) == [1]
+
+    @pytest.mark.parametrize("var", _THREAD_ENV_VARS)
+    def test_each_variable_lowers_the_cap(self, automatic, monkeypatch,
+                                          var):
+        monkeypatch.setenv(var, "1")
+        assert rank_cap(1) == 1
+        assert launch_master("threads", 1,
+                             lambda comm: get_blas_threads()) == 1
+
+    def test_malformed_value_is_ignored(self, automatic, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "abc")
+        assert rank_cap(1) == automatic
+        assert launch_master("threads", 1,
+                             lambda comm: get_blas_threads()) == automatic

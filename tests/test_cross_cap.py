@@ -7,7 +7,8 @@ in-process world, a capped persistent master.  These tests pin that the
 cap never changes a bit:
 
 * (a) the observed statistics of all six tests, at the paper's shapes;
-* (b) ``pmaxT`` under ``blas_threads=1|2|0`` on every backend;
+* (b) ``pmaxT`` at a BLAS cap of one and of several threads on every
+  backend;
 * (c) ``pcor`` on a capped 2-rank world against an uncapped serial one;
 * (d) a result-cache entry written uncapped, extended by a capped session.
 """
@@ -90,34 +91,51 @@ def small_matrix():
     return X
 
 
-def _across_caps(X, labels, backend, ranks, **kwargs):
-    runs = [pmaxT(X, labels, B=60, seed=3, backend=backend, ranks=ranks,
-                  blas_threads=cap, **kwargs) for cap in (1, 2, 0)]
-    for other in runs[1:]:
-        _same(runs[0], other)
+def _across_caps(X, labels, backend, ranks, monkeypatch, **kwargs):
+    """``pmaxT`` at two caps: in-process worlds under an outer lease of 1
+    and of ``WIDE`` threads, forked worlds at the default cap and lowered
+    to 1 by ``OPENBLAS_NUM_THREADS``."""
+    def run():
+        return pmaxT(X, labels, B=60, seed=3, backend=backend, ranks=ranks,
+                     **kwargs)
+
+    if backend in ("serial", "threads"):
+        runs = []
+        for cap in (1, WIDE):
+            with blas_thread_limit(cap):
+                runs.append(run())
+    else:
+        runs = [run()]
+        with monkeypatch.context() as env:
+            env.setenv("OPENBLAS_NUM_THREADS", "1")
+            runs.append(run())
+    _same(runs[0], runs[1])
     return runs[0]
 
 
 @pytest.mark.parametrize("na", [False, True], ids=["clean", "na"])
 @pytest.mark.parametrize("side", ["abs", "upper", "lower"])
 @pytest.mark.parametrize("test", available_tests())
-def test_pmaxt_is_cap_invariant_in_process(small_matrix, test, side, na):
+def test_pmaxt_is_cap_invariant_in_process(small_matrix, monkeypatch, test,
+                                           side, na):
     """(b) Full statistic x side x NA product on the in-process worlds."""
     X = inject_missing(small_matrix, 0.05, seed=9) if na else small_matrix
     labels = _design(test, X.shape[1])
-    serial = _across_caps(X, labels, "serial", 1, test=test, side=side)
-    threads = _across_caps(X, labels, "threads", 2, test=test, side=side)
+    serial = _across_caps(X, labels, "serial", 1, monkeypatch, test=test,
+                          side=side)
+    threads = _across_caps(X, labels, "threads", 2, monkeypatch, test=test,
+                           side=side)
     _same(serial, threads)
 
 
 @pytest.mark.parametrize("backend", ["processes", "shm"])
 @pytest.mark.parametrize("test", ["t", "f"])
-def test_pmaxt_is_cap_invariant_in_forked_worlds(small_matrix, test,
-                                                  backend):
+def test_pmaxt_is_cap_invariant_in_forked_worlds(small_matrix, monkeypatch,
+                                                  test, backend):
     """(b) Reduced set on the forked worlds: ``side="abs"``, with NA."""
     X = inject_missing(small_matrix, 0.05, seed=9)
     labels = _design(test, X.shape[1])
-    forked = _across_caps(X, labels, backend, 2, test=test)
+    forked = _across_caps(X, labels, backend, 2, monkeypatch, test=test)
     with blas_thread_limit(WIDE):
         _same(forked, pmaxT(X, labels, B=60, seed=3, test=test))
 

@@ -173,6 +173,15 @@ class TestCli:
                          "--checkpoint-dir", str(ckpt),
                          "--out", str(tmp_path / "r.tsv")]) == 0
 
+    @pytest.mark.parametrize("serve", [False, True], ids=["run", "serve"])
+    def test_removed_blas_threads_flag_fails(self, csv_path, capsys, serve):
+        """A script still passing the flag fails instead of losing it."""
+        argv = ["serve"] if serve else [str(csv_path), "--b", "50"]
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv + ["--blas-threads", "1"])
+        assert exc.value.code == 2
+        assert "--blas-threads" in capsys.readouterr().err
+
     def test_wilcoxon_upper(self, csv_path, capsys):
         assert cli_main([str(csv_path), "--test", "wilcoxon", "--side",
                          "upper", "--b", "80"]) == 0

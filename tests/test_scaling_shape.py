@@ -3,7 +3,8 @@
 The paper's discussion hinges on two linearities (Section 4.4, Table VI):
 run time linear in the permutation count and linear in the dataset size.
 These tests confirm the *real* Python kernel exhibits both on this machine
-(coarse bounds — wall-clock on shared CI boxes is noisy).
+(coarse bounds).  They time this process's CPU, with BLAS on one thread,
+so load from other processes on a shared box cannot stretch a measurement.
 """
 
 from __future__ import annotations
@@ -14,14 +15,17 @@ import pytest
 
 from repro import mt_maxT
 from repro.data import synthetic_expression, two_class_labels
+from repro.mpi.blasctl import blas_thread_limit
 
 
 def _best_time(fn, repeats=3):
+    """Best CPU seconds of ``fn`` over ``repeats`` runs, BLAS on one thread."""
     best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
+    with blas_thread_limit(1):
+        for _ in range(repeats):
+            start = time.process_time()
+            fn()
+            best = min(best, time.process_time() - start)
     return best
 
 

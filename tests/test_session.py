@@ -163,18 +163,14 @@ class TestOpenSession:
         with pytest.raises(CommunicatorError, match="unknown backend"):
             open_session("quantum", 2)
 
-    def test_negative_blas_threads_rejected(self):
-        with pytest.raises(OptionError, match="blas_threads"):
-            open_session("shm", 2, blas_threads=-1)
-
     @pytest.mark.parametrize("backend", ["threads", "shm"])
     @pytest.mark.parametrize("option,value", [
         ("job_timeout", -1), ("job_timeout", 0), ("job_timeout", -5.0),
         ("job_timeout", math.nan), ("job_timeout", math.inf),
         ("job_timeout", True), ("job_timeout", "30"),
-        ("idle_timeout", -1), ("idle_timeout", math.nan),
-        ("idle_timeout", math.inf),
-        ("blas_threads", 2.7), ("blas_threads", True), ("blas_threads", "2"),
+        ("idle_timeout", -1), ("idle_timeout", -0.5),
+        ("idle_timeout", math.nan), ("idle_timeout", math.inf),
+        ("idle_timeout", True), ("idle_timeout", "30"),
     ])
     def test_bad_world_options_fail_at_open(self, backend, option, value):
         # At open, on every backend, and before any job: a bad timeout
@@ -185,8 +181,8 @@ class TestOpenSession:
 
     @pytest.mark.parametrize("option,value", [
         ("job_timeout", 0.5), ("job_timeout", 30), ("idle_timeout", 0),
-        ("idle_timeout", 2.5), ("blas_threads", 0),
-        ("blas_threads", np.int64(1)),
+        ("idle_timeout", 2.5), ("job_timeout", np.int64(5)),
+        ("idle_timeout", np.float64(1.5)),
     ])
     def test_good_world_options_accepted(self, option, value):
         with open_session("shm", 2, **{option: value}) as ses:
@@ -556,12 +552,6 @@ class TestExclusions:
             with pytest.raises(DataError, match="session="):
                 pmaxT(X, labels, B=50, session=ses, backend="threads",
                       ranks=2)
-
-    def test_session_and_blas_threads_are_exclusive(self, dataset):
-        X, labels = dataset
-        with open_session("threads", 2) as ses:
-            with pytest.raises(OptionError, match="open_session"):
-                pmaxT(X, labels, B=50, session=ses, blas_threads=2)
 
     def test_pcor_session_and_comm_are_exclusive(self, dataset):
         X, _ = dataset
