@@ -13,8 +13,11 @@ packed time, the two sides timed back to back in alternating order.  It
 feeds ``check_bench_regression.py`` with a tolerance tight enough that a
 ratio of 1.0 (the packed sort reverted to the reference) fails.  The
 default 76 samples is the paper's array count; the win depends on the
-width (label shuffles read about 1.02x at 64 samples and 1.2x at 76 on
-the 2-core host that recorded ``BENCH_accel.json``).
+width and the batch.  At the kernel's 256-row batches, four runs on the
+2-core host that recorded ``BENCH_accel.json`` read 1.31-1.43x for label
+shuffles and 1.44-1.54x for block shuffles, against 1.14x and 1.44x at
+64-row batches: the per-call Philox set-up both sides pay weighs less
+in a wider batch.
 
 The whole-kernel effect is small: on a 2-core host (6102x76 Welch t,
 4000 permutations, BLAS capped at 1) the kernel ran in 0.807 s with the

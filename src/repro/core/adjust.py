@@ -68,7 +68,9 @@ def side_adjust(values: np.ndarray, side: str,
         np.copyto(out, values)
     else:
         np.negative(values, out=out)
-    out[np.isnan(out)] = -np.inf
+    # fmax returns the non-NaN operand: NaN -> -inf, everything else as
+    # is, in place and without a mask.
+    np.fmax(out, -np.inf, out=out)
     return out
 
 

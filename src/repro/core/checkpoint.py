@@ -118,11 +118,12 @@ def result_cache_key(dataset_fp: str, options: MaxTOptions) -> str:
     counts are chunking-invariant (pinned by the cross-backend tests)
     and the enumeration decision they influence is captured by
     ``complete``/``nperm``.  The version tag moves whenever the bits of
-    the observed statistics do (v2: scored through a 2-column GEMM), so an
+    the observed statistics do (v2: scored through a 2-column GEMM; v3:
+    two-sample means and variances scaled by count reciprocals), so an
     older entry is never extended or served.
     """
     payload = (
-        "maxt-cache-v2", dataset_fp, options.test, options.side,
+        "maxt-cache-v3", dataset_fp, options.test, options.side,
         options.fixed_seed_sampling, options.na, options.nonpara,
         options.seed, options.dtype, options.complete, options.store,
     )

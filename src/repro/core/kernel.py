@@ -9,7 +9,7 @@ The counts are plain sums over permutations, so per-rank results combine by
 elementwise addition — the reduction the master performs in Step 5 of the
 paper's parallel algorithm.
 
-Permutations are processed in batches (default 64): the generator writes
+Permutations are processed in batches (default 256): the generator writes
 a ``(nb, width)`` encoding block into the workspace (fixed-seed generators
 through the value-packed sort of :mod:`repro.permute.keystream`), the
 statistic scores it with a handful of GEMMs, and side adjustment,
@@ -26,8 +26,8 @@ counts are about 25 elementwise passes per batch.  Streamed over whole
 ``(m, nb)`` matrices they miss cache on every pass.  So each batch is
 walked in **row blocks of the significance-ordered problem**, from the
 bottom block up, each block small enough to stay cache-resident
-(:func:`~repro.stats.base.row_block`: ~32K elements, i.e. 512 rows at
-``nb = 64``).  Per block the kernel
+(:func:`~repro.stats.base.row_block`: ~32K elements, i.e. 128 rows at
+``nb = 256``).  Per block the kernel
 
 1. scores the block (:meth:`~repro.stats.base.TestStatistic.score_rows`);
 2. side-adjusts it in place and forces untestable rows to ``-inf``;
@@ -37,7 +37,8 @@ bottom block up, each block small enough to stay cache-resident
    adds ``nb`` to every row's adjusted count and folds the block's column
    maxima into the carry.  Exact: ``u[i, b] >= carry[b] >= thr[i]``, and
    maxima round nothing, so the carry is what the scan would leave in the
-   block's top row.  Most blocks saturate (83% at 6102x76);
+   block's top row.  Most blocks saturate (at 6102x76, B=2001: 92% with
+   256-wide batches, 83% with 64-wide ones);
 5. otherwise takes successive maxima bottom-up (a doubling scan), seeded
    with the carry, and counts adjusted exceedances.
 
@@ -98,16 +99,16 @@ __all__ = ["KernelCounts", "KernelWorkspace", "ObservedScores",
 
 #: Default permutation batch size for the vectorized kernel.  Row blocks
 #: keep the working set cache-resident whatever the batch size (a block
-#: holds about :data:`~repro.stats.base.ROW_BLOCK_ELEMENTS` scores), so
-#: the batch size no longer trades against cache misses; it only sets how
-#: many blocks (Python calls) a permutation costs against the per-batch
-#: work.  On a 2-core host perfbench put 128 within run-to-run noise of
-#: 64 (measured with a 16K-element block: paper_warm and oneshot_bigdata
-#: perms/s +2-4%, one-shot set-up median slower), so 64 stays.  With the
-#: saturated-block skip, the in-process kernel (6102x76, B=2001, BLAS cap
-#: 1, median of 6 rounds) took 0.42/0.39/0.37 s at 64/128/256; not yet
-#: measured end to end.
-DEFAULT_CHUNK: int = 64
+#: holds about :data:`~repro.stats.base.ROW_BLOCK_ELEMENTS` scores), so a
+#: wider batch costs no cache misses: it widens the GEMMs and spreads the
+#: per-batch work (encoding fill, class counts and their reciprocals) over
+#: more permutations.  On a 2-core host, in process (Welch t, side abs,
+#: BLAS cap 1, median of 4 rounds), the kernel took 0.485/0.442/0.408/
+#: 0.404 s at 64/128/256/512 on 6102x76 (B=2001) and 0.693/0.634/0.563/
+#: 0.574 s on 36612x76 (B=501).  End to end, 256 with the reciprocal
+#: two-sample scoring raised perfbench ``paper_warm`` from 7,428 to 8,410
+#: perms/s (median of 6 alternating 20 s pairs, 6 of 6 won).
+DEFAULT_CHUNK: int = 256
 
 #: Relative tolerance for the ``permuted >= observed`` counting comparison.
 #:

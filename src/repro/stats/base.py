@@ -70,7 +70,10 @@ COMPUTE_DTYPES: tuple[str, ...] = ("float64", "float32")
 #: 2-core host (2 MiB L2 per core, 105 MiB L3, two ranks running): 32K
 #: beat 16K by ~10% on 6102x76 and matched it on 36612x76 — fewer Python
 #: calls per batch outweigh the spill from L2 into L3 — and 48K gained
-#: nothing more.
+#: nothing more.  At 256-wide batches (128-row blocks) the in-process
+#: kernel took 0.357 s against 0.392 s at 16K and 0.359 s at 64K on
+#: 6102x76 (B=2001), and 0.338 s against 0.366/0.342 s on 36612x76
+#: (B=301), median of 5 interleaved rounds at BLAS cap 1.
 ROW_BLOCK_ELEMENTS: int = 32768
 
 
@@ -158,7 +161,7 @@ def mask_undefined(values, scale, N1, N0, least: int, work: "WorkBuffers"):
     bad = np.equal(scale, 0.0, out=work.take("bad3", values.shape, bool))
     if small.shape == bad.shape or small.any():
         np.logical_or(bad, small, out=bad)
-    values[bad] = np.nan
+    np.copyto(values, np.nan, where=bad)
     return values
 
 
@@ -427,16 +430,14 @@ class TwoSampleMoments:
     """Masked first/second-moment engine shared by the two-sample statistics.
 
     Precomputes the row totals once, then for a batch of 0/1 label vectors
-    returns per-class counts, sums and sums of squares via GEMMs over one
-    row block.  Columns whose cell is missing for a given row simply
-    contribute zero to every product, so missingness costs nothing per
-    permutation.
+    returns per-class counts, means and sums of squared deviations via
+    GEMMs over one row block.  Columns whose cell is missing for a given
+    row simply contribute zero to every product, so missingness costs
+    nothing per permutation.
     """
 
     def __init__(self, X: np.ndarray):
         V = valid_mask(X)
-        self.Xz = np.where(V, X, X.dtype.type(0))
-        self.Xz2 = self.Xz * self.Xz
         #: With no missing cells every row of the mask is all ones, so the
         #: class-1 count GEMM ``V @ G`` degenerates to the column sums of
         #: ``G`` — one ``(1, nb)`` row per batch instead of an ``(m, nb)``
@@ -446,11 +447,19 @@ class TwoSampleMoments:
         #: :func:`class_member_counts` consumes: the float mask when it
         #: matters, ``None`` when the column-sum shortcut applies.
         self.all_valid = bool(V.all())
-        Vf = V.astype(X.dtype)
-        self.count_mask = None if self.all_valid else Vf
+        # Xz is always a private copy: order_rows permutes it in place.
+        if self.all_valid:
+            self.Xz = X.copy()
+            self.count_mask = None
+            # Every row counts all n samples: the mask's row sums, exactly.
+            self.n_valid = np.full(X.shape[0], X.shape[1], dtype=X.dtype)
+        else:
+            self.Xz = np.where(V, X, X.dtype.type(0))
+            self.count_mask = V.astype(X.dtype)
+            self.n_valid = self.count_mask.sum(axis=1, dtype=X.dtype)
+        self.Xz2 = self.Xz * self.Xz
         # Row totals over all valid cells (class-0 moments follow by
         # subtraction, saving three GEMMs per batch).
-        self.n_valid = Vf.sum(axis=1, dtype=X.dtype)
         self.sum_all = self.Xz.sum(axis=1, dtype=X.dtype)
         self.sumsq_all = self.Xz2.sum(axis=1, dtype=X.dtype)
 
@@ -459,23 +468,36 @@ class TwoSampleMoments:
         rows = (self.Xz, self.Xz2, self.n_valid, self.sum_all, self.sumsq_all)
         return rows if self.count_mask is None else rows + (self.count_mask,)
 
-    def split(self, operands, lo: int, hi: int, work: WorkBuffers):
+    def centred(self, operands, lo: int, hi: int, work: WorkBuffers):
         """Both classes' moments for rows ``[lo, hi)`` of the batch
-        :func:`two_class_operands` prepared: ``(N1, S1, Q1, N0, S0, Q0)``.
+        :func:`two_class_operands` prepared:
+        ``(N1, N0, inv1, inv0, mean1, mean0, ss1, ss0)``.
 
-        ``N0``/``N1`` are ``(1, nb)`` rows or ``(1, 1)`` scalars on
-        fully-valid data; they broadcast transparently through the
-        statistic arithmetic.
+        ``invj = 1 / Nj`` is formed once on the counts' shape — ``(1, 1)``
+        or ``(1, nb)`` on fully-valid data, the block's shape with
+        missing cells — so the means are products, not divides.  ``ssj``
+        is the within-class sum of squared deviations ``Qj - Sj meanj``,
+        clamped at zero: floating-point cancellation can leave a tiny
+        negative on a constant row, and the zero-scale guard must fire
+        there instead.  Every block-shaped result is a pooled buffer.
         """
-        dtype = self.Xz.dtype
+        dt = self.Xz.dtype
         G = operands[0]
         shape = (hi - lo, G.shape[1])
         N1, N0 = two_class_counts(operands, self.count_mask, self.n_valid,
-                                  lo, hi, work, dtype)
-        S1 = np.matmul(self.Xz[lo:hi], G, out=work.take("S1", shape, dtype))
-        Q1 = np.matmul(self.Xz2[lo:hi], G, out=work.take("Q1", shape, dtype))
+                                  lo, hi, work, dt)
+        inv1 = np.divide(1.0, N1, out=work.take("inv1", N1.shape, dt))
+        inv0 = np.divide(1.0, N0, out=work.take("inv0", N0.shape, dt))
+        S1 = np.matmul(self.Xz[lo:hi], G, out=work.take("S1", shape, dt))
+        Q1 = np.matmul(self.Xz2[lo:hi], G, out=work.take("Q1", shape, dt))
         S0 = np.subtract(self.sum_all[lo:hi, None], S1,
-                         out=work.take("S0", shape, dtype))
+                         out=work.take("S0", shape, dt))
         Q0 = np.subtract(self.sumsq_all[lo:hi, None], Q1,
-                         out=work.take("Q0", shape, dtype))
-        return N1, S1, Q1, N0, S0, Q0
+                         out=work.take("Q0", shape, dt))
+        mean1 = np.multiply(S1, inv1, out=work.take("mean1", shape, dt))
+        mean0 = np.multiply(S0, inv0, out=work.take("mean0", shape, dt))
+        for S, Q, mean in ((S1, Q1, mean1), (S0, Q0, mean0)):
+            np.multiply(S, mean, out=S)
+            np.subtract(Q, S, out=Q)
+            np.maximum(Q, 0.0, out=Q)
+        return N1, N0, inv1, inv0, mean1, mean0, Q1, Q0

@@ -44,32 +44,18 @@ class EqualVarT(TestStatistic):
                                   self._moments.all_valid)
 
     def score_rows(self, operands, lo, hi, work) -> np.ndarray:
-        # sp2 = (ss1 + ss0) / (N1 + N0 - 2);
-        # t = (mean1 - mean0) / sqrt(sp2 * (1/N1 + 1/N0)), through pooled
-        # buffers (Q1 carries ss1 -> sp2 -> se; S1/S0 become scratch once
-        # their products are folded in).  N1/N0 may be (1, nb) rows or
-        # (1, 1) scalars on fully-valid data, so count-derived scratch
-        # broadcasts.
-        N1, S1, Q1, N0, S0, Q0 = self._moments.split(operands, lo, hi,
-                                                      work)
-        shape, dt = S1.shape, self.compute_dtype
-        mean1 = np.divide(S1, N1, out=work.take("mean1", shape, dt))
-        mean0 = np.divide(S0, N0, out=work.take("mean0", shape, dt))
-        np.multiply(S1, mean1, out=S1)
-        np.subtract(Q1, S1, out=Q1)        # ss1
-        np.multiply(S0, mean0, out=S0)
-        np.subtract(Q0, S0, out=Q0)        # ss0
-        np.maximum(Q1, 0.0, out=Q1)
-        np.maximum(Q0, 0.0, out=Q0)
-        dof = np.add(N1, N0, out=work.take("dof", N1.shape, dt))
-        np.subtract(dof, 2.0, out=dof)
-        np.add(Q1, Q0, out=Q1)
-        np.divide(Q1, dof, out=Q1)         # sp2
-        inv1 = np.divide(1.0, N1, out=work.take("inv1", N1.shape, dt))
-        inv0 = np.divide(1.0, N0, out=work.take("inv0", N0.shape, dt))
-        np.add(inv1, inv0, out=inv1)
-        np.multiply(Q1, inv1, out=Q1)
-        se = np.sqrt(Q1, out=Q1)
+        # t = (mean1 - mean0) / sqrt((ss1 + ss0) k), where
+        # k = (1/N1 + 1/N0) / (N1 + N0 - 2) takes the counts' shape, so
+        # on fully-valid data the block pays one divide (the last) and
+        # one sqrt per element.
+        N1, N0, inv1, inv0, mean1, mean0, ss1, ss0 = self._moments.centred(
+            operands, lo, hi, work)
+        k = np.add(N1, N0, out=work.take("dof", N1.shape, self.compute_dtype))
+        np.subtract(k, 2.0, out=k)
+        np.divide(np.add(inv1, inv0, out=inv1), k, out=k)
+        np.add(ss1, ss0, out=ss1)
+        np.multiply(ss1, k, out=ss1)
+        se = np.sqrt(ss1, out=ss1)
         np.subtract(mean1, mean0, out=mean1)
         t = np.divide(mean1, se, out=mean1)
         return mask_undefined(t, se, N1, N0, 2, work)

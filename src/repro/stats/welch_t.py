@@ -43,33 +43,21 @@ class WelchT(TestStatistic):
                                   self._moments.all_valid)
 
     def score_rows(self, operands, lo, hi, work) -> np.ndarray:
-        # mean_j = S_j / N_j; var_j = (Q_j - S_j mean_j) / (N_j - 1);
-        # t = (mean1 - mean0) / sqrt(var1/N1 + var0/N0), routed through
-        # pooled buffers (S_j is consumed by the variance product, Q_j
-        # becomes the variance in place).  N1/N0 may be (1, nb) rows or
-        # (1, 1) scalars on fully-valid data; their derived scratch
-        # broadcasts.
-        N1, S1, Q1, N0, S0, Q0 = self._moments.split(operands, lo, hi,
-                                                      work)
-        shape, dt = S1.shape, self.compute_dtype
-        mean1 = np.divide(S1, N1, out=work.take("mean1", shape, dt))
-        mean0 = np.divide(S0, N0, out=work.take("mean0", shape, dt))
-        np.multiply(S1, mean1, out=S1)
-        np.subtract(Q1, S1, out=Q1)
-        dof1 = np.subtract(N1, 1.0, out=work.take("dof1", N1.shape, dt))
-        var1 = np.divide(Q1, dof1, out=Q1)
-        np.multiply(S0, mean0, out=S0)
-        np.subtract(Q0, S0, out=Q0)
-        dof0 = np.subtract(N0, 1.0, out=work.take("dof0", N0.shape, dt))
-        var0 = np.divide(Q0, dof0, out=Q0)
-        # Floating-point cancellation can leave tiny negative variances on
-        # constant rows; clamp so the zero-variance guard below fires instead.
-        np.maximum(var1, 0.0, out=var1)
-        np.maximum(var0, 0.0, out=var0)
-        np.divide(var1, N1, out=var1)
-        np.divide(var0, N0, out=var0)
-        np.add(var1, var0, out=var1)
-        se = np.sqrt(var1, out=var1)
+        # t = (mean1 - mean0) / sqrt(ss1 c1 + ss0 c0), where
+        # cj = 1 / ((Nj - 1) Nj) folds var_j = ssj / (Nj - 1) and its
+        # / Nj into one multiply.  The c's take the counts' shape, so on
+        # fully-valid data the block pays one divide (the last) and one
+        # sqrt per element.
+        N1, N0, _, _, mean1, mean0, ss1, ss0 = self._moments.centred(
+            operands, lo, hi, work)
+        dt = self.compute_dtype
+        for key, N, ss in (("c1", N1, ss1), ("c0", N0, ss0)):
+            c = np.subtract(N, 1.0, out=work.take(key, N.shape, dt))
+            np.multiply(c, N, out=c)
+            np.divide(1.0, c, out=c)
+            np.multiply(ss, c, out=ss)
+        np.add(ss1, ss0, out=ss1)
+        se = np.sqrt(ss1, out=ss1)
         np.subtract(mean1, mean0, out=mean1)
         t = np.divide(mean1, se, out=mean1)
         return mask_undefined(t, se, N1, N0, 2, work)

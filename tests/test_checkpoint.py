@@ -120,9 +120,9 @@ class TestGoldenFingerprints:
         o64 = validate_options(self.y, dtype="float64", **self.OPTS)
         o32 = validate_options(self.y, dtype="float32", **self.OPTS)
         assert result_cache_key(fp, o64) == (
-            "583e64ee8f46afe84d06821f07a9a984975b423fbee03b89beb048290767cab9")
+            "664b98b083387c7ec3c06b206947b2e0909fc9d22645c7c8be3f24e406ab745b")
         assert result_cache_key(fp, o32) == (
-            "e2848491687bfa85ada6babff1ea004af380b5f3553931cb9eae8ae9d3563c70")
+            "c649edeefcdb8573d555d616c0149154812a41996216082dd148806811594137")
 
 
 class TestStore:

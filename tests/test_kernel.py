@@ -11,7 +11,8 @@ from repro.data import two_class_labels
 from repro.errors import PermutationError
 from repro.stats.base import row_block
 
-#: Rows per kernel block at the default 64-permutation batch.
+#: Rows per kernel block at a 64-permutation batch (the unit the
+#: per-unit spans below use).
 BLOCK = row_block(10**6, 64)
 
 
@@ -95,8 +96,9 @@ class TestRunKernel:
                                    2 * BLOCK + 3])
     @pytest.mark.parametrize("side", ["abs", "upper", "lower"])
     def test_chunks_sum_to_serial_across_row_blocks(self, m, side):
-        """Per-unit calls (the steal master's 64-permutation poll units)
-        and uneven chunks sum to one whole run at every block edge."""
+        """Per-unit calls (64-permutation poll units, as a steal master
+        polls at ``chunk_size=64``) and uneven chunks sum to one whole run
+        at every block edge."""
         rng = np.random.default_rng(m)
         X = rng.normal(size=(m, 12))
         if m > 2:

@@ -146,7 +146,7 @@ CASES = [
 
 
 #: Row-block boundary cases: every statistic on every layout.  pairt
-#: gets 8 pairs so its 150 permutations are sampled in 64-wide batches
+#: gets 8 pairs so its 150 permutations are sampled, not enumerated
 #: (6 pairs enumerate only 2**6 = 64, one 63-wide batch).
 BOUNDARY_CASES = [
     (test, np.array([0, 1] * 8) if test == "pairt" else labels, layout)
@@ -352,6 +352,8 @@ class TestSaturatedBlocks:
 
     # 16 rows per 64-wide block, so the 90-row problems span 6 blocks
     # (tier-1 matrices are otherwise smaller than one default block).
+    # The batches are 64 wide: at 256 columns pairt's 8 pairs never
+    # saturate a block, so the premise "some blocks skip" would not hold.
     @pytest.fixture(autouse=True)
     def _small_blocks(self, monkeypatch):
         monkeypatch.setattr(stats_base, "ROW_BLOCK_ELEMENTS", 1024)
@@ -366,11 +368,26 @@ class TestSaturatedBlocks:
                                     monkeypatch):
         stat, generator, observed = _saturation_problem(test, labels, na,
                                                         dtype, side)
-        assert row_block(stat.m, DEFAULT_CHUNK) * 3 <= stat.m
+        assert row_block(stat.m, 64) * 3 <= stat.m
         scans = _count_scans(monkeypatch)
-        got = run_kernel(stat, generator, observed, side, start=0, count=150)
-        assert len(scans) < _blocks(stat.m, 150)     # some blocks skipped
+        got = run_kernel(stat, generator, observed, side, start=0, count=150,
+                         chunk_size=64)
+        assert len(scans) < _blocks(stat.m, 150, 64)  # some blocks skipped
         ref = _reference_counts(stat, generator, observed, side, 150)
+        np.testing.assert_array_equal(got.raw, ref.raw)
+        np.testing.assert_array_equal(got.adjusted, ref.adjusted)
+
+    def test_default_width_saturates(self, monkeypatch):
+        """One full ``DEFAULT_CHUNK``-wide batch of Welch t: blocks still
+        saturate (4 rows per block here) and the counts still equal the
+        reference."""
+        B = DEFAULT_CHUNK + 1
+        stat, generator, observed = _saturation_problem(
+            "t", CASES[0][1], False, "float64", "abs", B=B)
+        scans = _count_scans(monkeypatch)
+        got = run_kernel(stat, generator, observed, "abs", 0, B)
+        assert len(scans) < _blocks(stat.m, B)
+        ref = _reference_counts(stat, generator, observed, "abs", B)
         np.testing.assert_array_equal(got.raw, ref.raw)
         np.testing.assert_array_equal(got.adjusted, ref.adjusted)
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from repro import mt_maxT
@@ -48,6 +50,29 @@ def test_matches_naive_reference(test, labels_fn, ncols, side):
 
     res = mt_maxT(X, labels, test=test, side=side, B=B)
     assert res.nperm == options.nperm
+    np.testing.assert_allclose(res.rawp, rawp_ref, atol=1e-12)
+    np.testing.assert_allclose(res.adjp, adjp_ref, atol=1e-12)
+
+
+@given(test=st.sampled_from(["t", "t.equalvar"]),
+       chunk=st.sampled_from([1, 13, 64, 256, 300]),
+       B=st.integers(2, 700),
+       side=st.sampled_from(["abs", "upper", "lower"]),
+       seed=st.integers(0, 2**31 - 1))
+@example(test="t", chunk=256, B=513, side="abs", seed=1)
+@example(test="t.equalvar", chunk=300, B=302, side="upper", seed=2)
+@settings(max_examples=15, deadline=None)
+def test_chunk_width_matches_naive_reference(test, chunk, B, side, seed):
+    """Any batch width, with ``B`` crossing batch boundaries, gives the
+    p-values of the naive maxT over one-at-a-time statistics."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(10, 12))
+    X[rng.random(X.shape) < 0.05] = np.nan
+    labels = two_class_labels(6, 6)
+    stat_rows, _ = _explicit_stat_rows(X, labels, test, B, seed=seed)
+    rawp_ref, adjp_ref = naive_maxt(stat_rows, side)
+    res = mt_maxT(X, labels, test=test, side=side, B=B, seed=seed,
+                  chunk_size=chunk)
     np.testing.assert_allclose(res.rawp, rawp_ref, atol=1e-12)
     np.testing.assert_allclose(res.adjp, adjp_ref, atol=1e-12)
 

@@ -63,20 +63,36 @@ class TestEqualVarAgainstScipy:
 
 
 class TestMissingValues:
+    @pytest.mark.parametrize("na", [False, True], ids=["clean", "na"])
     @pytest.mark.parametrize("cls,ref_fn", [(WelchT, welch_t_row),
                                             (EqualVarT, equalvar_t_row)])
-    def test_nan_matches_bruteforce(self, cls, ref_fn):
+    def test_nan_matches_bruteforce(self, cls, ref_fn, na):
+        """Observed and permuted statistics equal the loop reference
+        within 1e-12 max(|t|, 1), NaN where it is NaN: a constant row,
+        and with missing cells a class left with one valid sample and one
+        left with none.  Clean data scores through scalar class counts,
+        missing cells through per-row counts."""
         rng = np.random.default_rng(9)
-        X = inject_missing(rng.normal(size=(20, 12)), 0.15, seed=10)
+        X = rng.normal(size=(20, 12))
+        if na:
+            X = inject_missing(X, 0.15, seed=10)
+            X[4, 7:] = np.nan                # class 1 keeps one sample
+            X[5, :6] = np.nan                # class 0 keeps none
+        X[3] = 2.5                           # constant row
         labels = two_class_labels(6, 6)
         stat = cls(X, labels)
-        ours = stat.observed()
-        for i in range(20):
-            expected = ref_fn(X[i], labels)
-            if np.isnan(expected):
-                assert np.isnan(ours[i]), i
-            else:
-                assert ours[i] == pytest.approx(expected, rel=1e-10), i
+        perms = np.stack([rng.permutation(labels) for _ in range(6)])
+        cases = [(labels, stat.observed())]
+        cases += list(zip(perms, stat.batch(perms).T))
+        for enc, ours in cases:
+            ref = np.array([ref_fn(row, enc) for row in X])
+            np.testing.assert_array_equal(np.isnan(ours), np.isnan(ref))
+            ok = ~np.isnan(ref)
+            err = np.abs(ours[ok] - ref[ok])
+            assert (err <= 1e-12 * np.maximum(np.abs(ref[ok]), 1.0)).all()
+        assert np.isnan(cases[0][1][3])
+        if na:
+            assert np.isnan(cases[0][1][[4, 5]]).all()
 
     def test_na_code_equivalent_to_nan(self):
         rng = np.random.default_rng(11)
