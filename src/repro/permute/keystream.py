@@ -172,12 +172,11 @@ def _arrange(keys: np.ndarray, layout: np.ndarray) -> np.ndarray:
     """``layout``'s blocks reordered by the argsort of each key group."""
     count = keys.shape[0]
     nblocks, k = layout.shape
-    if nblocks == 1:
-        # A label shuffle: one gather, ~30% faster than the general path.
-        return layout[0][np.argsort(keys, axis=1)]
     sigma = np.argsort(keys.reshape(count, nblocks, k), axis=2)
-    tiled = np.broadcast_to(layout, (count, nblocks, k))
-    return np.take_along_axis(tiled, sigma, axis=2).reshape(count, -1)
+    # Offset each group's argsort to its block, then gather once from the
+    # flat layout.
+    sigma += np.arange(0, nblocks * k, k)[:, None]
+    return layout.reshape(-1)[sigma.reshape(count, -1)]
 
 
 def _pack_bits(layout: np.ndarray) -> int:

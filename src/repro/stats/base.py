@@ -438,6 +438,8 @@ class TwoSampleMoments:
 
     def __init__(self, X: np.ndarray):
         V = valid_mask(X)
+        self.Xz = np.where(V, X, X.dtype.type(0))
+        self.Xz2 = self.Xz * self.Xz
         #: With no missing cells every row of the mask is all ones, so the
         #: class-1 count GEMM ``V @ G`` degenerates to the column sums of
         #: ``G`` — one ``(1, nb)`` row per batch instead of an ``(m, nb)``
@@ -447,19 +449,11 @@ class TwoSampleMoments:
         #: :func:`class_member_counts` consumes: the float mask when it
         #: matters, ``None`` when the column-sum shortcut applies.
         self.all_valid = bool(V.all())
-        # Xz is always a private copy: order_rows permutes it in place.
-        if self.all_valid:
-            self.Xz = X.copy()
-            self.count_mask = None
-            # Every row counts all n samples: the mask's row sums, exactly.
-            self.n_valid = np.full(X.shape[0], X.shape[1], dtype=X.dtype)
-        else:
-            self.Xz = np.where(V, X, X.dtype.type(0))
-            self.count_mask = V.astype(X.dtype)
-            self.n_valid = self.count_mask.sum(axis=1, dtype=X.dtype)
-        self.Xz2 = self.Xz * self.Xz
+        Vf = V.astype(X.dtype)
+        self.count_mask = None if self.all_valid else Vf
         # Row totals over all valid cells (class-0 moments follow by
         # subtraction, saving three GEMMs per batch).
+        self.n_valid = Vf.sum(axis=1, dtype=X.dtype)
         self.sum_all = self.Xz.sum(axis=1, dtype=X.dtype)
         self.sumsq_all = self.Xz2.sum(axis=1, dtype=X.dtype)
 

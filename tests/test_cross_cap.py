@@ -95,7 +95,8 @@ def small_matrix():
 def _across_caps(X, labels, backend, ranks, monkeypatch, **kwargs):
     """``pmaxT`` at two caps: in-process worlds under an outer lease of 1
     and of ``WIDE`` threads, forked worlds at the default cap and lowered
-    to 1 by ``OPENBLAS_NUM_THREADS``."""
+    to 1 by ``OPENBLAS_NUM_THREADS`` (only when the default cap is above
+    1, as lowering it to 1 would otherwise rerun the same world)."""
     def run():
         return pmaxT(X, labels, B=60, seed=3, backend=backend, ranks=ranks,
                      **kwargs)
@@ -106,10 +107,9 @@ def _across_caps(X, labels, backend, ranks, monkeypatch, **kwargs):
             with blas_thread_limit(cap):
                 runs.append(run())
     else:
-        if rank_cap(ranks) == 1:
-            pytest.skip(f"a {ranks}-rank forked world already runs at BLAS "
-                        f"cap 1 here, so lowering it to 1 compares nothing")
         runs = [run()]
+        if rank_cap(ranks) == 1:
+            return runs[0]
         with monkeypatch.context() as env:
             env.setenv("OPENBLAS_NUM_THREADS", "1")
             runs.append(run())
@@ -132,16 +132,18 @@ def test_pmaxt_is_cap_invariant_in_process(small_matrix, monkeypatch, test,
     _same(serial, threads)
 
 
+@pytest.mark.parametrize("ranks", [1, 2])
 @pytest.mark.parametrize("backend", ["processes", "shm"])
 @pytest.mark.parametrize("test", ["t", "f"])
 def test_pmaxt_is_cap_invariant_in_forked_worlds(small_matrix, monkeypatch,
-                                                  test, backend):
-    """(b) Reduced set on the forked worlds: ``side="abs"``, with NA.  One
-    rank, so its default cap is every core and differs from 1 on any
-    multi-core host (two ranks on two cores would run at 1 either way)."""
+                                                  test, backend, ranks):
+    """(b) Reduced set on the forked worlds: ``side="abs"``, with NA, each
+    against serial ``pmaxT``.  A 1-rank world's default cap is every core,
+    so its cap-lowering comparison runs on any multi-core host; a 2-rank
+    world's needs 4+ cores."""
     X = inject_missing(small_matrix, 0.05, seed=9)
     labels = _design(test, X.shape[1])
-    forked = _across_caps(X, labels, backend, 1, monkeypatch, test=test)
+    forked = _across_caps(X, labels, backend, ranks, monkeypatch, test=test)
     with blas_thread_limit(WIDE):
         _same(forked, pmaxT(X, labels, B=60, seed=3, test=test))
 

@@ -192,6 +192,20 @@ class TestKeystream:
             for b in range(3):
                 assert sorted(row[3 * b:3 * b + 3]) == sorted(blocks[b])
 
+    @pytest.mark.parametrize("shape", [(1, 7), (3, 3), (4, 5)])
+    def test_block_permutations_match_per_block_argsort(self, shape):
+        """Each block of each row is that block reordered by the argsort
+        of its own key group, built here one group at a time."""
+        nblocks, k = shape
+        blocks = np.arange(nblocks * k).reshape(shape) % 3
+        keys = keystream.raw_keys(42, 5, 40, blocks.size)
+        want = np.array([
+            np.concatenate([blocks[b][np.argsort(row[b * k:(b + 1) * k])]
+                            for b in range(nblocks)])
+            for row in keys])
+        np.testing.assert_array_equal(
+            keystream.block_permutations(42, 5, 40, blocks), want)
+
 
 class TestGoldenSequences:
     """Freeze the counter-keyed fixed-seed sequences for the default seed.
