@@ -449,11 +449,12 @@ class TwoSampleMoments:
         #: :func:`class_member_counts` consumes: the float mask when it
         #: matters, ``None`` when the column-sum shortcut applies.
         self.all_valid = bool(V.all())
-        Vf = V.astype(X.dtype)
-        self.count_mask = None if self.all_valid else Vf
+        self.count_mask = None if self.all_valid else V.astype(X.dtype)
         # Row totals over all valid cells (class-0 moments follow by
-        # subtraction, saving three GEMMs per batch).
-        self.n_valid = Vf.sum(axis=1, dtype=X.dtype)
+        # subtraction, saving three GEMMs per batch).  Valid counts are
+        # exact small integers, so summing the boolean mask gives the
+        # float mask's row sums without building that mask on clean data.
+        self.n_valid = V.sum(axis=1).astype(X.dtype)
         self.sum_all = self.Xz.sum(axis=1, dtype=X.dtype)
         self.sumsq_all = self.Xz2.sum(axis=1, dtype=X.dtype)
 
