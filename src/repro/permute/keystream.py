@@ -173,10 +173,8 @@ def _arrange(keys: np.ndarray, layout: np.ndarray) -> np.ndarray:
     count = keys.shape[0]
     nblocks, k = layout.shape
     sigma = np.argsort(keys.reshape(count, nblocks, k), axis=2)
-    # Offset each group's argsort to its block, then gather once from the
-    # flat layout.
-    sigma += np.arange(0, nblocks * k, k)[:, None]
-    return layout.reshape(-1)[sigma.reshape(count, -1)]
+    tiled = np.broadcast_to(layout, (count, nblocks, k))
+    return np.take_along_axis(tiled, sigma, axis=2).reshape(count, -1)
 
 
 def _pack_bits(layout: np.ndarray) -> int:
