@@ -106,8 +106,9 @@ __all__ = ["KernelCounts", "KernelWorkspace", "ObservedScores",
 #: BLAS cap 1, median of 4 rounds), the kernel took 0.485/0.442/0.408/
 #: 0.404 s at 64/128/256/512 on 6102x76 (B=2001) and 0.693/0.634/0.563/
 #: 0.574 s on 36612x76 (B=501).  End to end, 256 with the reciprocal
-#: two-sample scoring raised perfbench ``paper_warm`` from 7,428 to 8,410
-#: perms/s (median of 6 alternating 20 s pairs, 6 of 6 won).
+#: two-sample scoring raised perfbench ``paper_warm`` from 9,284 to 10,806
+#: perms/s and ``oneshot_bigdata`` from 884 to 1,034 (medians of 10
+#: alternating 20 s pairs on the same host, 9 and 10 of 10 won).
 DEFAULT_CHUNK: int = 256
 
 #: Relative tolerance for the ``permuted >= observed`` counting comparison.
