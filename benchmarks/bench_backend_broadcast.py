@@ -1,13 +1,15 @@
 """Measured benchmark: pickled vs shared-memory array broadcast.
 
-The tentpole claim of the execution-backend layer is that the ``shm``
-backend removes the dominant non-kernel cost of a process-world pmaxT run —
-the "create data" broadcast of the expression matrix (paper Tables I–V) —
-by replacing per-worker pickle-pipe-unpickle round trips with a single
-copy into a ``multiprocessing.shared_memory`` segment that every rank maps
-zero-copy.  This benchmark times exactly that collective on both process
-backends and writes the comparison to ``BENCH_backend.json`` so the
-performance trajectory captures the gap.
+The claim of the ``shm`` backend is that it removes the dominant non-kernel
+cost of a process-world pmaxT run — the "create data" broadcast of the
+expression matrix (paper Tables I–V) — by replacing per-worker
+pickle-pipe-unpickle round trips with a single copy into a
+``multiprocessing.shared_memory`` segment that every rank maps zero-copy.
+This benchmark times exactly that collective in one ``shm`` world: the
+matrix pickled through every worker's queue (``comm.bcast``) against
+``comm.bcast_array``.  The two sides run in alternating rounds, so a drift
+in host load moves both sides of a round together; ``bcast_speedup`` is the
+median of the per-round ratios, written to ``BENCH_backend.json``.
 
 Run standalone (writes the JSON next to the repository root)::
 
@@ -42,41 +44,42 @@ DEFAULT_REPEATS = 3
 RESULT_FILE = "BENCH_backend.json"
 
 
-def _bcast_job(X, repeats, pickled):
-    """SPMD job: master-timed broadcast of ``X``, best of ``repeats``."""
+def _bcast_job(X, repeats):
+    """SPMD job: master-timed pickled and segment broadcasts of ``X``.
+
+    One untimed warm-up of each side, then ``repeats`` rounds that time
+    both sides, alternating which goes first.  The master returns the
+    per-round ``(pickled_s, shm_s)`` lists.
+    """
+
+    def timed(comm, pickled):
+        payload = X if comm.is_master else None
+        comm.barrier()
+        start = time.perf_counter()
+        data = comm.bcast(payload) if pickled else comm.bcast_array(payload)
+        comm.barrier()
+        elapsed = time.perf_counter() - start
+        assert data.shape == X.shape
+        return elapsed
 
     def job(comm):
-        best = float("inf")
-        for _ in range(repeats):
-            comm.barrier()
-            start = time.perf_counter()
-            if pickled:
-                data = comm.bcast(X if comm.is_master else None)
-            else:
-                data = comm.bcast_array(X if comm.is_master else None)
-            comm.barrier()
-            elapsed = time.perf_counter() - start
-            best = min(best, elapsed)
-            assert data.shape == X.shape
-        return best if comm.is_master else None
+        timed(comm, True)
+        timed(comm, False)
+        pickled_s, shm_s = [], []
+        for i in range(repeats):
+            for pickled in ((False, True) if i % 2 else (True, False)):
+                (pickled_s if pickled else shm_s).append(timed(comm, pickled))
+        return (pickled_s, shm_s) if comm.is_master else None
 
     return job
 
 
 def measure(n_genes=DEFAULT_GENES, n_samples=DEFAULT_SAMPLES,
             ranks=DEFAULT_RANKS, repeats=DEFAULT_REPEATS, seed=3) -> dict:
-    """Time the data broadcast on both process worlds."""
+    """Time both broadcast routes in one ``shm`` world."""
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n_genes, n_samples))
-
-    timings = {}
-    # The "processes" row uses the generic object path (comm.bcast), i.e.
-    # the pre-refactor wire: a pickled matrix through every rank's queue.
-    # The "shm" row uses bcast_array over shared memory.
-    for backend, pickled in (("processes", True), ("shm", False)):
-        timings[backend] = run_backend(
-            backend, _bcast_job(X, repeats, pickled), ranks)[0]
-
+    pickled_s, shm_s = run_backend("shm", _bcast_job(X, repeats), ranks)[0]
     return {
         "benchmark": "backend_broadcast",
         "matrix": [n_genes, n_samples],
@@ -84,9 +87,9 @@ def measure(n_genes=DEFAULT_GENES, n_samples=DEFAULT_SAMPLES,
         "payload_mb": X.nbytes / 1e6,
         "ranks": ranks,
         "repeats": repeats,
-        "pickled_bcast_s": timings["processes"],
-        "shm_bcast_s": timings["shm"],
-        "bcast_speedup": timings["processes"] / timings["shm"],
+        "pickled_bcast_s": min(pickled_s),
+        "shm_bcast_s": min(shm_s),
+        "bcast_speedup": float(np.median(np.divide(pickled_s, shm_s))),
     }
 
 
@@ -119,10 +122,10 @@ def main(argv=None) -> int:
 
     print(f"matrix {result['matrix'][0]}x{result['matrix'][1]} float64 "
           f"({result['payload_mb']:.1f} MB), {result['ranks']} ranks, "
-          f"best of {result['repeats']}")
+          f"{result['repeats']} rounds (best times, median ratio)")
     print(f"  broadcast   pickled {result['pickled_bcast_s'] * 1e3:8.2f} ms"
           f"   shm {result['shm_bcast_s'] * 1e3:8.2f} ms"
-          f"   speedup {result['bcast_speedup']:.1f}x")
+          f"   speedup {result['bcast_speedup']:.2f}x")
     print(f"written to {out}")
     return 0
 

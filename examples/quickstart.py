@@ -33,9 +33,8 @@ def main() -> None:
     print(serial.table(limit=8))
 
     # --- parallel run: same call + an execution backend -------------------
-    # Any name from the backend registry works here: "threads" (in-process),
-    # "processes" (forked ranks, pickled collectives) or "shm" (forked
-    # ranks, zero-copy shared-memory collectives).
+    # Any name from the backend registry works here: "threads" (in-process)
+    # or "shm" (forked ranks, zero-copy shared-memory broadcasts).
     print(f"\nregistered execution backends: {', '.join(available_backends())}")
     parallel = pmaxT(X, labels, test="t", side="abs", B=2_000,
                      backend="threads", ranks=4)

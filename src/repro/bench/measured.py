@@ -45,7 +45,7 @@ def measure_profile(X, classlabel, nprocs: int, *, B: int,
     Like the paper, the minimum over independent executions is reported to
     suppress interference from other load on the machine.  ``backend``
     picks the execution substrate, so the same table can be measured over
-    threads, pickled processes or shared-memory processes.
+    threads or forked processes (``shm``).
     """
     best: SectionProfile | None = None
     for _ in range(repeats):

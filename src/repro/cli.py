@@ -14,10 +14,9 @@ permutation test on a dataset file without writing any Python::
 
 Dataset formats are the CSV/NPZ layouts of :mod:`repro.data.io`.  The SPMD
 world comes from the execution-backend registry
-(:mod:`repro.mpi.backends`): ``--backend threads`` (default), ``processes``
-(real OS ranks, pickled collectives), ``shm`` (real OS ranks, zero-copy
-shared-memory collectives) or ``serial`` — plus any backend the embedding
-application registered.
+(:mod:`repro.mpi.backends`): ``--backend threads`` (default), ``shm``
+(real OS ranks, shared-memory array broadcasts) or ``serial`` — plus any
+backend the embedding application registered.
 """
 
 from __future__ import annotations

@@ -37,8 +37,8 @@ Execution backends
 
 :func:`pmaxT` is substrate-agnostic: the data broadcast uses the
 communicator's ``bcast_array``, so each backend moves arrays its own best
-way (shared address space for ``serial``/``threads``, pickled queues for
-``processes``, zero-copy shared-memory segments for ``shm``), and the
+way (shared address space for ``serial``/``threads``, a zero-copy
+shared-memory segment for a large matrix on ``shm``), and the
 counts travel point-to-point with the ledger's block reports (multi-rank
 worlds need any-source receive: ``recv_any``/``poll_any``).  Callers pick
 the substrate either by running their own SPMD world and passing
@@ -590,7 +590,7 @@ def _pmaxt_run(
     serial algorithm, profiled into the same five sections.
 
     Alternatively pass ``backend=`` (a registered execution-backend name:
-    ``"serial"``, ``"threads"``, ``"processes"``, ``"shm"``, or a custom
+    ``"serial"``, ``"threads"``, ``"shm"``, or a custom
     registration) and ``ranks=`` to have pmaxT stand up the SPMD world
     itself and return the master's result directly — a one-line parallel
     run with no explicit world management.  ``backend`` and ``comm`` are
@@ -742,8 +742,8 @@ def _pmaxt_run(
                 data = attach_published_view(route)
         else:
             # Array-aware collectives: the backend moves the matrix its
-            # own best way (zero-copy segments on "shm", pickled queues
-            # on "processes", the shared address space in-process).  The
+            # own best way (a zero-copy segment on "shm" above 256 KiB,
+            # the shared address space in-process).  The
             # wire is dtype-aware: a float32 compute run ships float32
             # bytes — half the "create data" traffic — rather than
             # casting after transfer.

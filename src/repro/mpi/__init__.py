@@ -10,15 +10,14 @@ numpy data without pickling.  Implementations:
 * :class:`~repro.mpi.serial.SerialComm` — one-rank world;
 * :class:`~repro.mpi.threads.ThreadComm` — SPMD OS threads with blocking
   collectives (BLAS releases the GIL, so kernels overlap);
-* :class:`~repro.mpi.processes.ProcessComm` — forked OS processes,
-  payloads pickled through per-rank queues (true memory isolation);
-* :class:`~repro.mpi.shm.ShmComm` — forked OS processes whose array
-  collectives use zero-copy ``multiprocessing.shared_memory`` segments.
+* :class:`~repro.mpi.processes.ProcessComm` — forked OS processes with
+  per-rank queues (true memory isolation); arrays above 256 KiB broadcast
+  through one zero-copy ``multiprocessing.shared_memory`` segment.
 
 **Backends** (:mod:`repro.mpi.backends`) — the string-keyed registry that
-launches a world by name: ``"serial"``, ``"threads"``, ``"processes"``,
-``"shm"``.  Every consumer (``pmaxT``, ``pcor``, the CLI, SPRINT sessions,
-the measured benchmarks) accepts ``backend=`` / ``ranks=`` and routes
+launches a world by name: ``"serial"``, ``"threads"``, ``"shm"``.  Every
+consumer (``pmaxT``, ``pcor``, the CLI, SPRINT sessions, the measured
+benchmarks) accepts ``backend=`` / ``ranks=`` and routes
 through :func:`~repro.mpi.backends.run_backend`, so the compute code never
 hard-wires a substrate::
 
@@ -49,7 +48,6 @@ from .backends import (
     Backend,
     ProcessBackend,
     SerialBackend,
-    ShmBackend,
     ThreadBackend,
     available_backends,
     open_session,
@@ -74,7 +72,6 @@ from .session import (
     WorkerPoolSession,
     resident_cache,
 )
-from .shm import ShmComm, run_spmd_shm
 from .threads import ThreadComm, ThreadWorld, run_spmd
 
 __all__ = [
@@ -89,13 +86,10 @@ __all__ = [
     "run_spmd",
     "ProcessComm",
     "run_spmd_processes",
-    "ShmComm",
-    "run_spmd_shm",
     "Backend",
     "SerialBackend",
     "ThreadBackend",
     "ProcessBackend",
-    "ShmBackend",
     "DEFAULT_BACKEND",
     "register_backend",
     "resolve_backend",

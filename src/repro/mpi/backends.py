@@ -5,14 +5,14 @@ are written against the :class:`~repro.mpi.comm.Communicator` interface and
 do not care how the ranks came to exist.  This module makes that substrate
 a first-class, string-keyed choice:
 
-========== ============================= =====================================
-key        world                         array collectives
-========== ============================= =====================================
-serial     the calling thread            in-address-space (no copies)
-threads    OS threads (BLAS overlaps)    in-address-space (no copies)
-processes  OS processes (fork)           pickled through per-rank queues
-shm        OS processes (fork)           zero-copy ``multiprocessing.shared_memory``
-========== ============================= =====================================
+======= ============================= ==========================================
+key     world                         array collectives
+======= ============================= ==========================================
+serial  the calling thread            in-address-space (no copies)
+threads OS threads (BLAS overlaps)    in-address-space (no copies)
+shm     OS processes (fork)           queue wire below 256 KiB, else one
+                                      ``multiprocessing.shared_memory`` segment
+======= ============================= ==========================================
 
 Every consumer — ``pmaxT(..., backend="shm", ranks=8)``, ``pcor``, the
 ``repro-maxt`` CLI, the SPRINT session, the measured benchmarks — routes
@@ -37,7 +37,7 @@ from typing import Any, Callable
 
 from ..errors import CommunicatorError
 from .comm import Communicator
-from .processes import ProcessComm, run_spmd_processes
+from .processes import run_spmd_processes
 from .serial import SerialComm
 from .session import (
     BackendSession,
@@ -45,7 +45,6 @@ from .session import (
     WorkerPoolSession,
     _check_world_options,
 )
-from .shm import ShmComm, run_spmd_shm
 from .threads import run_spmd
 
 __all__ = [
@@ -53,7 +52,6 @@ __all__ = [
     "SerialBackend",
     "ThreadBackend",
     "ProcessBackend",
-    "ShmBackend",
     "register_backend",
     "resolve_backend",
     "available_backends",
@@ -98,7 +96,7 @@ class Backend(ABC):
         that dispatches each job through :meth:`run` — correct for any
         backend, and all an in-process world needs (its threads are cheap
         to stand up; the session still keeps per-rank caches warm).  The
-        process backends override this with a persistent
+        forked backend overrides this with a persistent
         :class:`~repro.mpi.session.WorkerPoolSession` that spawns the
         worker ranks once.  ``idle_timeout``/``job_timeout`` only apply to
         persistent pools and are ignored here.
@@ -127,7 +125,7 @@ class SerialBackend(Backend):
         if self.check_ranks(ranks) != 1:
             raise CommunicatorError(
                 f"backend 'serial' is a one-rank world; got ranks={ranks} "
-                "(pick 'threads', 'processes' or 'shm' for a real world)")
+                "(pick 'threads' or 'shm' for a real world)")
         return [fn(SerialComm())]
 
 
@@ -143,11 +141,9 @@ class ThreadBackend(Backend):
 
 
 class ProcessBackend(Backend):
-    """Forked OS processes; payloads pickled through per-rank queues."""
+    """Forked OS processes; large arrays travel via shared-memory segments."""
 
-    name = "processes"
-    #: Communicator class a persistent session's ranks run against.
-    session_comm_cls: type[ProcessComm] = ProcessComm
+    name = "shm"
 
     def run(self, fn: SpmdFunction, ranks: int, *,
             timeout: float | None = None) -> list[Any]:
@@ -168,26 +164,10 @@ class ProcessBackend(Backend):
         if job_timeout is not None:
             kwargs["job_timeout"] = job_timeout
         return WorkerPoolSession(
-            self.session_comm_cls,
             self.check_ranks(ranks),
-            name=self.name,
             idle_timeout=idle_timeout,
             **kwargs,
         )
-
-
-class ShmBackend(ProcessBackend):
-    """Forked OS processes; arrays travel via shared-memory segments."""
-
-    name = "shm"
-    session_comm_cls = ShmComm
-
-    def run(self, fn: SpmdFunction, ranks: int, *,
-            timeout: float | None = None) -> list[Any]:
-        ranks = self.check_ranks(ranks)
-        if timeout is None:
-            return run_spmd_shm(fn, ranks)
-        return run_spmd_shm(fn, ranks, timeout=timeout)
 
 
 _REGISTRY: dict[str, Backend] = {}
@@ -365,6 +345,6 @@ def launch_master(
         return one_shot.run(fn, timeout=timeout)[0]
 
 
-for _backend in (SerialBackend(), ThreadBackend(), ProcessBackend(), ShmBackend()):
+for _backend in (SerialBackend(), ThreadBackend(), ProcessBackend()):
     register_backend(_backend)
 del _backend

@@ -19,7 +19,7 @@ only throughput.  Answers do not depend on the cap either
 One policy, :func:`rank_cap`, covers every world: each rank is capped at
 ``max(1, cores // ranks)``, never above the budget in force (the pool's own,
 or a stricter ``*_NUM_THREADS`` the user exported, which is how to lower
-it).  A ``processes``/``shm`` worker applies it for life
+it).  An ``shm`` worker applies it for life
 (:func:`apply_worker_cap`); a persistent pool's master and every in-process
 world lease it for the job (:func:`blas_thread_limit`).  Overlapping leases
 from different threads form a multiset: the pool runs at the smallest
@@ -257,7 +257,7 @@ def rank_cap(ranks: int) -> int:
 
 
 def apply_worker_cap(world_size: int) -> None:
-    """Bootstrap hook run inside each ``processes``/``shm`` worker.
+    """Bootstrap hook run inside each ``shm`` worker.
 
     Applies :func:`rank_cap` for the worker's lifetime.  Workers are
     throwaway processes, so exporting the ``*_NUM_THREADS`` variables here

@@ -144,8 +144,8 @@ class Communicator(ABC):
     # arrays without the generic object path's pickling: the default below
     # simply delegates (correct for any conformant world, and exactly right
     # for SerialComm/ThreadComm where ranks already share an address
-    # space), while process-based backends override it — ProcessComm with
-    # a contiguous wire format, ShmComm with a zero-copy shared segment.
+    # space), while ProcessComm overrides it: a contiguous queue wire for
+    # small arrays, one zero-copy shared segment for large ones.
 
     def bcast_array(self, arr: np.ndarray | None, root: int = 0, *,
                     dtype=None) -> np.ndarray:

@@ -3,7 +3,7 @@
 The paper's Tables I–V show the "create data" broadcast is pmaxT's
 second-largest cost, and the session layer still pays it on *every* warm
 call: the resident workers are long-lived, but the matrix crosses the
-world (one shm memcpy, or one pickle per worker) each time.  For the
+world (one shared-segment memcpy on the ``shm`` backend) each time.  For the
 paper's dominant workload — many analyses over the *same* expression
 matrix — that is pure waste.
 
@@ -47,7 +47,7 @@ worlds inherit the registry's address space) exiting must not reclaim
 the parent's live segments.
 
 Worker-side attachments are unregistered from the
-``multiprocessing.resource_tracker`` (see :func:`repro.mpi.shm._untrack`);
+``multiprocessing.resource_tracker`` (see :func:`repro.mpi.processes._untrack`);
 without that, a worker's exit would bogusly unlink the publisher's
 segment out from under the session.
 """
@@ -65,7 +65,7 @@ import numpy as np
 
 from ..errors import DataError
 from .session import resident_cache
-from .shm import _unlink, _untrack
+from .processes import _unlink, _untrack
 
 __all__ = [
     "PublishedDataset",

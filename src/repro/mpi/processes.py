@@ -7,15 +7,27 @@ results.  Collectives are routed through per-rank queues with rank 0 acting
 as the coordinator of a star topology — semantically equivalent to (if
 slower than) MPI's trees, and entirely adequate for the control-plane
 volumes pmaxT moves (options, the dataset broadcast, two count vectors).
+The world is registered as the ``shm`` backend.
 
 Trade-offs versus :class:`~repro.mpi.threads.ThreadComm`:
 
-* true memory isolation — a rank cannot scribble on another's arrays, so
-  this backend catches sharing bugs the thread world can't;
-* payloads are pickled, so large broadcasts pay serialisation (the paper's
-  "create data" section, honestly);
+* true memory isolation for the control plane — a rank cannot scribble on
+  another's arrays, so this backend catches sharing bugs the thread world
+  can't;
+* object payloads are pickled; numpy arrays above
+  :data:`SHM_THRESHOLD_BYTES` travel through one
+  ``multiprocessing.shared_memory`` segment instead (see
+  :meth:`ProcessComm.bcast_array`), so the paper's "create data" broadcast
+  costs one memcpy rather than one pickle-pipe-unpickle round per worker;
 * requires the ``fork`` start method for closures to travel (the default
   on Linux).
+
+Segment lifecycle: every array broadcast that takes the segment route ends
+with a rendezvous after which the creator unlinks its segment at once —
+workers keep their mappings for as long as the returned read-only views
+live, since POSIX keeps a mapping valid after the name is gone.  No named
+segment outlives the collective that created it, so even a rank killed by
+the failure-path teardown cannot strand one.
 
 Failure handling: a crashing rank ships its exception back through the
 result queue; the parent terminates the survivors and re-raises.
@@ -34,6 +46,7 @@ import pickle
 import queue as queue_mod
 import time
 import traceback
+from multiprocessing import shared_memory
 from typing import Any, Callable
 
 import numpy as np
@@ -41,25 +54,54 @@ import numpy as np
 from ..errors import CommunicatorError
 from .comm import Communicator, ReduceOp, SUM
 
-__all__ = ["ProcessComm", "run_spmd_processes"]
+__all__ = ["ProcessComm", "run_spmd_processes", "SHM_THRESHOLD_BYTES"]
 
 _DEFAULT_TIMEOUT = 300.0
 
+#: Array payloads smaller than this ride the queue wire format instead: a
+#: shared segment costs a few shm_open/mmap/unlink syscalls per rank plus a
+#: rendezvous, which only pays for itself once the pickle-and-pipe cost it
+#: replaces is bigger.  256 KiB is comfortably past the crossover measured
+#: in ``benchmarks/bench_backend_broadcast.py``.
+SHM_THRESHOLD_BYTES = 1 << 18
 
-def _to_wire(arr: np.ndarray) -> tuple:
-    """Encode a contiguous array as the queue wire format.
 
-    One tuple shared by every process-world array collective, so the
-    format can only change in one place.
+def _untrack(segment: shared_memory.SharedMemory) -> None:
+    """Unregister an *attached* segment from the resource tracker.
+
+    Attaching registers the name with ``multiprocessing.resource_tracker``
+    exactly like creating does (fixed by ``track=False`` only in 3.13+), so
+    without this every worker attachment would trigger a bogus
+    "leaked shared_memory" unlink attempt at interpreter shutdown.  Only
+    the creator should remain registered.
     """
-    return (arr.dtype.str, arr.shape, arr.tobytes())
+    try:  # pragma: no cover - depends on interpreter internals
+        from multiprocessing import resource_tracker
+
+        resource_tracker.unregister(segment._name, "shared_memory")
+    except Exception:
+        pass
 
 
-def _from_wire(dtype: str, shape: tuple, buf: bytes) -> np.ndarray:
-    """Decode the wire format; the result views the immutable buffer."""
-    out = np.frombuffer(buf, dtype=np.dtype(dtype)).reshape(shape)
-    out.flags.writeable = False
-    return out
+def _unlink(segment: shared_memory.SharedMemory) -> None:
+    """Unlink a segment this process created, without tracker noise.
+
+    Forked ranks share their parent's resource tracker, and a peer's
+    attach-then-:func:`_untrack` cycle removes the name from the tracker's
+    set.  ``unlink()`` unregisters the name again, which would make the
+    tracker print a ``KeyError`` traceback.  Re-registering first restores
+    the balance: ``register`` is an idempotent set-add.
+    """
+    try:  # pragma: no cover - depends on interpreter internals
+        from multiprocessing import resource_tracker
+
+        resource_tracker.register(segment._name, "shared_memory")
+    except Exception:
+        pass
+    try:
+        segment.unlink()
+    except FileNotFoundError:
+        pass
 
 
 class ProcessComm(Communicator):
@@ -96,6 +138,8 @@ class ProcessComm(Communicator):
         # rank's gather #2 payload can arrive while the root is still
         # collecting gather #1, and must not be consumed by it.
         self._opseq = 0
+        # Mappings of peers' broadcast segments still exported by views.
+        self._attached: list[shared_memory.SharedMemory] = []
 
     @property
     def rank(self) -> int:
@@ -191,35 +235,70 @@ class ProcessComm(Communicator):
     # -- array-aware collectives ---------------------------------------------------
 
     def bcast_array(self, arr, root: int = 0, *, dtype=None):
-        """Broadcast an array as ``(dtype, shape, bytes)`` instead of an object.
+        """Broadcast an array, routed by its size.
 
-        The wire format guarantees the payload is a single contiguous buffer
-        (ndarray pickling of a strided array would first densify it on every
-        send) and reconstruction on the receivers is a plain frombuffer-copy
-        rather than object unpickling.  The data still crosses the queue pipe
-        once per worker — :class:`~repro.mpi.shm.ShmComm` is the backend that
-        removes that copy entirely.
+        Below :data:`SHM_THRESHOLD_BYTES` the raw bytes travel through
+        every worker's queue; above it the root copies the array **once**
+        into a shared segment and broadcasts only the segment's name, and
+        every worker maps the segment zero-copy.  Either message carries
+        the shape and dtype.  Workers get read-only arrays on either route:
+        ranks share the segment's pages, so a scribble would be visible
+        world-wide.
 
-        ``dtype`` (root-side) casts the payload before it hits the wire, so
-        a float32 compute run ships float32 bytes — half the pipe traffic —
-        instead of casting after a float64 transfer.
+        ``dtype`` (root-side) casts the payload before the route choice,
+        so a float32 run both ships half the bytes and picks its route
+        from the true payload size.
         """
         self._check_root(root)
-        seq = self._opseq
-        self._opseq += 1
+        if self.size == 1:
+            if dtype is None:
+                return np.ascontiguousarray(arr)
+            return np.ascontiguousarray(arr, dtype=np.dtype(dtype))
+        # Only the root knows the payload size, so the route travels in the
+        # message.  The closing barrier of the segment route makes the
+        # broadcast a rendezvous (like the thread world's): every worker
+        # has mapped the segment before any rank moves on, so the root
+        # cannot reach teardown — which unlinks the name — while a slow
+        # worker is still attaching.  Mappings taken before the unlink
+        # stay valid while the view lives.
         if self._rank == root:
             if dtype is None:
                 arr = np.ascontiguousarray(arr)
             else:
                 arr = np.ascontiguousarray(arr, dtype=np.dtype(dtype))
-            wire = _to_wire(arr)
-            self.array_bytes += arr.nbytes * (self._size - 1)
-            for dest in range(self._size):
-                if dest != root:
-                    self._put(dest, "bcast-arr", seq, wire)
+            if arr.nbytes < SHM_THRESHOLD_BYTES:
+                self.array_bytes += arr.nbytes * (self.size - 1)
+                self.bcast(("wire", arr.tobytes(), arr.shape, arr.dtype.str), root=root)
+                return arr
+            # The segment route moves the payload once (root memcpy into
+            # the segment), regardless of world size.
+            self.array_bytes += arr.nbytes
+            segment = shared_memory.SharedMemory(create=True, size=max(1, arr.nbytes))
+            try:
+                np.ndarray(arr.shape, dtype=arr.dtype, buffer=segment.buf)[...] = arr
+                self.bcast(("shm", segment.name, arr.shape, arr.dtype.str), root=root)
+                self.barrier()
+            finally:
+                # Unlink even when the collective fails mid-way (a peer
+                # died; the barrier raised).  The root of a persistent
+                # session is a long-lived service process, so a segment
+                # left for the resource tracker's at-exit sweep would pin
+                # matrix-sized shared memory until the service restarts.
+                segment.close()
+                _unlink(segment)
             return arr
-        _, wire = self._get("bcast-arr", root, seq)
-        return _from_wire(*wire)
+        route, ref, shape, dtype_str = self.bcast(None, root=root)
+        if route == "wire":
+            # Viewing the immutable bytes makes the array read-only.
+            return np.frombuffer(ref, dtype=dtype_str).reshape(shape)
+        self._prune_attached()
+        segment = shared_memory.SharedMemory(name=ref)
+        _untrack(segment)
+        self._attached.append(segment)
+        view = np.ndarray(shape, dtype=dtype_str, buffer=segment.buf)
+        view.flags.writeable = False
+        self.barrier()
+        return view
 
     def barrier(self) -> None:
         # two-phase star barrier through rank 0
@@ -278,16 +357,28 @@ class ProcessComm(Communicator):
         if not 0 <= root < self._size:
             raise CommunicatorError(f"root {root} out of range [0, {self._size})")
 
-    def _cleanup(self) -> None:
-        """Release per-rank resources; runs in the worker after ``fn``.
+    # -- lifecycle ---------------------------------------------------------------
 
-        Subclass hook — :class:`~repro.mpi.shm.ShmComm` closes its
-        shared-memory segments here.  The base world has nothing to free.
+    def _prune_attached(self) -> None:
+        """Release mappings whose views are gone.
+
+        Runs before each segment attach, after each session job and when a
+        one-shot rank finishes, so a world that broadcasts repeatedly does
+        not pin every broadcast's pages until teardown.  ``close`` raises
+        :class:`BufferError` while a live view still exports the buffer, so
+        exactly the mappings still in use survive the sweep (the OS
+        reclaims those at exit; names were unlinked per collective).
         """
+        still_referenced = []
+        for segment in self._attached:
+            try:
+                segment.close()
+            except BufferError:
+                still_referenced.append(segment)
+        self._attached = still_referenced
 
 
-def _worker(comm_cls, fn, rank, size, inboxes, results,
-            timeout):  # pragma: no cover
+def _worker(fn, rank, size, inboxes, results, timeout):  # pragma: no cover
     # (covered indirectly — runs in the child process)
     try:
         # Cap this rank's BLAS pool before any GEMM spins it up: with
@@ -297,11 +388,11 @@ def _worker(comm_cls, fn, rank, size, inboxes, results,
         from .blasctl import apply_worker_cap
 
         apply_worker_cap(size)
-        comm = comm_cls(rank, size, inboxes, timeout)
+        comm = ProcessComm(rank, size, inboxes, timeout)
         try:
             results.put((rank, True, fn(comm)))
         finally:
-            comm._cleanup()
+            comm._prune_attached()
     except BaseException as exc:  # noqa: BLE001 - shipped to the parent
         results.put((rank, False, (type(exc).__name__, str(exc), traceback.format_exc())))
 
@@ -335,7 +426,6 @@ def run_spmd_processes(
     fn: Callable[[Communicator], Any],
     size: int,
     timeout: float = _DEFAULT_TIMEOUT,
-    comm_cls: type[ProcessComm] = ProcessComm,
 ) -> list[Any]:
     """Run ``fn(comm)`` on ``size`` OS processes; return rank-ordered results.
 
@@ -343,10 +433,6 @@ def run_spmd_processes(
     are fine on Linux).  If any rank raises, the survivors are terminated
     and a :class:`CommunicatorError` carrying the child's traceback is
     raised in the caller.
-
-    ``comm_cls`` selects the per-rank communicator (default
-    :class:`ProcessComm`); :func:`~repro.mpi.shm.run_spmd_shm` reuses this
-    driver with :class:`~repro.mpi.shm.ShmComm`.
 
     Each rank caps its BLAS threadpool at ``max(1, cores // size)`` before
     ``fn`` runs (:func:`~repro.mpi.blasctl.rank_cap`).
@@ -359,7 +445,7 @@ def run_spmd_processes(
     procs = [
         ctx.Process(
             target=_worker,
-            args=(comm_cls, fn, rank, size, inboxes, results_q, timeout),
+            args=(fn, rank, size, inboxes, results_q, timeout),
             name=f"spmd-proc-{rank}",
         )
         for rank in range(size)

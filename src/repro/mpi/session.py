@@ -1,17 +1,16 @@
 """Persistent backend sessions: resident SPMD worker pools.
 
-The one-shot launchers (:func:`~repro.mpi.processes.run_spmd_processes`,
-:func:`~repro.mpi.shm.run_spmd_shm`) pay the full world cost on every call:
-``ranks`` process spawns, fresh queues, fresh shared-memory machinery and a
-cold :class:`~repro.core.kernel.KernelWorkspace` on every rank.  That is
-the right trade for a single ``pmaxT`` run and exactly the wrong one for a
-service that answers many calls against a warm pool — the paper's
-long-lived ``mpiexec`` allocation, which SPRINT keeps resident for the
-whole R script.
+The one-shot launcher (:func:`~repro.mpi.processes.run_spmd_processes`)
+pays the full world cost on every call: ``ranks`` process spawns, fresh
+queues and a cold :class:`~repro.core.kernel.KernelWorkspace` on every
+rank.  That is the right trade for a single ``pmaxT`` run and exactly the
+wrong one for a service that answers many calls against a warm pool — the
+paper's long-lived ``mpiexec`` allocation, which SPRINT keeps resident for
+the whole R script.
 
 A :class:`BackendSession` is the Python analogue of that allocation:
 
-* :class:`WorkerPoolSession` (the ``processes``/``shm`` backends) forks the
+* :class:`WorkerPoolSession` (the ``shm`` backend) forks the
   worker ranks **once**.  The calling process is rank 0 — the SPRINT
   master — and successive SPMD jobs are dispatched to the resident workers
   as generation-tagged frames over the same per-rank queues the
@@ -413,7 +412,6 @@ class EphemeralSession(BackendSession):
 
 
 def _pool_worker(
-    comm_cls,
     rank,
     size,
     inboxes,
@@ -428,7 +426,7 @@ def _pool_worker(
     # The resident per-rank cache (see resident_cache()): created once per
     # pool incarnation, shared by every job this worker serves.
     _LOCAL.cache = {}
-    comm = comm_cls(rank, size, inboxes, job_timeout)
+    comm = ProcessComm(rank, size, inboxes, job_timeout)
     # A rank respawned into a live pool (single-rank fault recovery) must
     # join the survivors' collective numbering: every job leaves the
     # world's sequence numbers equal across ranks, so the master's value
@@ -475,11 +473,9 @@ def _pool_worker(
             return
         results_q.put((gen, seq, rank, True, result))
         del job, result
-        prune = getattr(comm, "_prune_attached", None)
-        if prune is not None:
-            # Release shared-memory mappings whose broadcast views died
-            # with the job, so a long-lived worker cannot pin dead pages.
-            prune()
+        # Release shared-memory mappings whose broadcast views died with
+        # the job, so a long-lived worker cannot pin dead pages.
+        comm._prune_attached()
 
 
 #: Whether per-process state can be read from /proc (Linux — the only
@@ -596,9 +592,6 @@ class WorkerPoolSession(BackendSession):
     forked at first dispatch (and respawned under a new generation tag
     after a crash, a failed job, or an idle teardown).  Parameters:
 
-    comm_cls:
-        Per-rank communicator class (:class:`~repro.mpi.processes.ProcessComm`
-        or :class:`~repro.mpi.shm.ShmComm`).
     ranks:
         World size, master included.  Each rank's BLAS pool is capped at
         :func:`~repro.mpi.blasctl.rank_cap` of it: a worker from its
@@ -610,23 +603,21 @@ class WorkerPoolSession(BackendSession):
         Communicator timeout and default per-job result deadline.
     """
 
+    backend_name = "shm"
+
     def __init__(
         self,
-        comm_cls: type[ProcessComm],
         ranks: int,
         *,
-        name: str | None = None,
         idle_timeout: float | None = None,
         job_timeout: float = _DEFAULT_TIMEOUT,
     ):
         if int(ranks) < 1:
             raise CommunicatorError(f"ranks must be >= 1, got {ranks}")
         super().__init__(ranks)
-        self._comm_cls = comm_cls
         _check_world_options(idle_timeout, job_timeout)
         self._idle_timeout = idle_timeout
         self._job_timeout = float(job_timeout)
-        self.backend_name = name if name is not None else comm_cls.__name__
         self._lock = threading.RLock()
         self._procs: list | None = None
         self._inboxes: list | None = None
@@ -872,7 +863,6 @@ class WorkerPoolSession(BackendSession):
         p = ctx.Process(
             target=_pool_worker,
             args=(
-                self._comm_cls,
                 rank,
                 self._ranks,
                 self._inboxes,
@@ -904,7 +894,6 @@ class WorkerPoolSession(BackendSession):
             p = ctx.Process(
                 target=_pool_worker,
                 args=(
-                    self._comm_cls,
                     rank,
                     self._ranks,
                     self._inboxes,
@@ -923,9 +912,7 @@ class WorkerPoolSession(BackendSession):
         master_inboxes[0] = _WatchfulInbox(
             self._inboxes[0], self._check_world_health
         )
-        self._master_comm = self._comm_cls(
-            0, self._ranks, master_inboxes, self._job_timeout
-        )
+        self._master_comm = ProcessComm(0, self._ranks, master_inboxes, self._job_timeout)
         # Steal-scheduler hooks: the master-side loop acknowledges worker
         # deaths (enabling single-rank respawn instead of pool teardown)
         # and reports per-job steal statistics through the communicator.

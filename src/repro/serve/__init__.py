@@ -22,7 +22,7 @@ Quick start::
 
     from repro.serve import PoolManager, make_server
 
-    with PoolManager("processes", ranks=2, pools=2,
+    with PoolManager("shm", ranks=2, pools=2,
                      cache_dir="/tmp/maxt-cache") as manager:
         job = manager.submit_pmaxt(X, labels, B=10_000)
         result = job.result()          # a MaxTResult, bit-identical

@@ -47,6 +47,8 @@ the direct ``pmaxT()`` return (asserted end-to-end by the CI smoke job).
 from __future__ import annotations
 
 import json
+import signal
+import threading
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -217,19 +219,39 @@ def make_server(
     return server
 
 
+def _interrupt(signum, frame):
+    raise KeyboardInterrupt
+
+
 def serve_forever(manager: PoolManager, host: str = "127.0.0.1", port: int = 8071) -> None:
-    """Blocking convenience loop for the CLI: serve until interrupted."""
+    """Blocking convenience loop for the CLI: serve until interrupted.
+
+    On the main thread, SIGINT and SIGTERM both end the loop through
+    ``KeyboardInterrupt``, whatever dispositions the process inherited (a
+    background job starts with SIGINT ignored), so the pools are always
+    closed.  The previous handlers come back on return.
+    """
     server = make_server(manager, host, port)
-    addr = server.server_address
-    print(
-        f"repro-serve listening on http://{addr[0]}:{addr[1]} "
-        f"(pools={manager.stats()['pools']}, ranks={manager.ranks})"
-    )
+    previous = {}
     try:
+        if threading.current_thread() is threading.main_thread():
+            for sig, handler in (
+                (signal.SIGINT, signal.default_int_handler),
+                (signal.SIGTERM, _interrupt),
+            ):
+                previous[sig] = signal.signal(sig, handler)
+        addr = server.server_address
+        print(
+            f"repro-serve listening on http://{addr[0]}:{addr[1]} "
+            f"(pools={manager.stats()['pools']}, ranks={manager.ranks})"
+        )
         server.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive path
+    except KeyboardInterrupt:
         pass
     finally:
-        server.shutdown()
+        # serve_forever() runs on this thread, so it has returned by now
+        # (or never started): no shutdown() handshake is needed.
         server.server_close()
         manager.close()
+        for sig, handler in previous.items():
+            signal.signal(sig, handler)

@@ -11,7 +11,7 @@ Two ways to run a SPRINT program:
   an in-process execution backend (``backend="threads"`` or ``"serial"``);
 * :func:`run_sprint` — the whole program (master script + worker loops)
   runs inside any registered backend's world, including the fork-based
-  ``"processes"`` and ``"shm"`` backends.
+  ``"shm"`` backend.
 """
 
 from .framework import MasterHandle, SprintFramework, run_sprint

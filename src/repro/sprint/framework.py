@@ -173,7 +173,7 @@ def run_sprint(script: Callable[[MasterHandle], Any], *,
     This is the process-world counterpart of
     :class:`~repro.sprint.session.SprintSession` (whose
     master-on-the-calling-thread design needs an in-process backend).
-    For the fork-based backends (``processes``/``shm``), ``script`` and
+    For the fork-based ``shm`` backend, ``script`` and
     any functions in ``registry`` travel by fork, so closures are fine.
 
     ``session=`` (a :class:`~repro.mpi.session.BackendSession` from

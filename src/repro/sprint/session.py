@@ -36,7 +36,7 @@ class SprintSession:
     must be an *in-process* one (``"threads"``, the default, or
     ``"serial"`` with ``nprocs=1``): the session's defining feature is that
     the calling thread *is* rank 0, which a fork-based world cannot offer.
-    For the process backends (``"processes"``/``"shm"``) use
+    For the fork-based ``"shm"`` backend use
     :func:`repro.sprint.run_sprint`, which runs the whole SPRINT program —
     master script included — inside the launched world; pair it with a
     persistent :class:`~repro.mpi.session.BackendSession`

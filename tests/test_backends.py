@@ -4,8 +4,7 @@ The tentpole guarantee of the backend refactor is that *what* is computed
 is independent of *how* the ranks were launched: ``pmaxT`` and ``pcor``
 must produce bit-identical results on every registered backend at every
 world size.  The matrix below pins that, and the remaining classes cover
-the registry API, the zero-copy semantics of the ``shm`` world, and the
-array-aware collectives of the ``processes`` world.
+the registry API and both array-broadcast routes of the ``shm`` world.
 """
 
 from __future__ import annotations
@@ -24,16 +23,17 @@ from repro.mpi import (
     register_backend,
     resolve_backend,
     run_backend,
-    run_spmd_shm,
+    run_spmd_processes,
 )
 from repro.mpi.backends import _REGISTRY
+from repro.mpi.processes import SHM_THRESHOLD_BYTES
 
 # (backend, ranks) cells of the equivalence matrix.  "serial" is a
 # one-rank world by construction; every other backend is exercised at
 # 1, 2 and 4 ranks.
 MATRIX = [("serial", 1)] + [
     (name, ranks)
-    for name in ("threads", "processes", "shm")
+    for name in ("threads", "shm")
     for ranks in (1, 2, 4)
 ]
 
@@ -46,8 +46,12 @@ def dataset():
 
 class TestRegistry:
     def test_builtin_backends_present(self):
-        assert {"serial", "threads", "processes", "shm"} <= \
-            set(available_backends())
+        assert available_backends() == ("serial", "shm", "threads")
+
+    def test_processes_backend_is_gone(self):
+        with pytest.raises(CommunicatorError,
+                           match="available: serial, shm, threads"):
+            resolve_backend("processes")
 
     def test_resolve_by_name(self):
         for name in available_backends():
@@ -295,31 +299,31 @@ class TestShmWorld:
         assert "Traceback" not in proc.stderr, proc.stderr
 
     def test_broadcast_views_are_read_only(self):
-        results = run_spmd_shm(_job_shm_view_flags, 3)
+        results = run_spmd_processes(_job_shm_view_flags, 3)
         assert results[0] is True          # the master keeps its own array
         assert results[1:] == [False, False]
 
     def test_broadcast_is_zero_copy_on_workers(self):
-        results = run_spmd_shm(_job_shm_zero_copy, 3)
+        results = run_spmd_processes(_job_shm_zero_copy, 3)
         assert all(results)
 
     def test_small_arrays_take_the_wire_route(self):
-        results = run_spmd_shm(_job_shm_small_wire_route, 3)
+        results = run_spmd_processes(_job_shm_small_wire_route, 3)
         assert results == [120.0, 120.0, 120.0]
 
     def test_reduce_applies_in_rank_order(self):
-        results = run_spmd_shm(_job_shm_reduce_rank_order, 3)
+        results = run_spmd_processes(_job_shm_reduce_rank_order, 3)
         assert results[0] == (-4.0, -4.0)
         assert results[1] is None and results[2] is None
 
     def test_dead_mappings_pruned_per_collective(self):
-        results = run_spmd_shm(_job_shm_prune_dead_mappings, 3)
+        results = run_spmd_processes(_job_shm_prune_dead_mappings, 3)
         assert results[0] == 0                 # the master never attaches
         # each worker holds at most the final (just-pruned-into) mapping
         assert all(n <= 1 for n in results[1:])
 
     def test_integer_count_reduction(self):
-        results = run_spmd_shm(_job_shm_int_counts, 4)
+        results = run_spmd_processes(_job_shm_int_counts, 4)
         assert results[0].dtype == np.int64
         np.testing.assert_array_equal(results[0], [10, 10, 10, 10, 10])
 
@@ -330,7 +334,7 @@ class TestShmWorld:
         if not os.path.isdir("/dev/shm"):
             pytest.skip("no /dev/shm on this platform")
         before = set(glob.glob("/dev/shm/psm_*"))
-        run_spmd_shm(_job_shm_zero_copy, 4)
+        run_spmd_processes(_job_shm_zero_copy, 4)
         after = set(glob.glob("/dev/shm/psm_*"))
         assert after <= before
 
@@ -362,7 +366,7 @@ class TestSprintOverBackends:
             return master.call("papply", lambda x: x, [1, 2])
 
         with pytest.raises(CommunicatorError, match="picklable"):
-            run_sprint(script, backend="processes", ranks=2)
+            run_sprint(script, backend="shm", ranks=2)
 
     def test_session_rejects_process_backends(self):
         from repro.errors import SprintError
@@ -385,16 +389,29 @@ class TestSprintOverBackends:
             SprintSession(nprocs=3, backend="serial")
 
 
+# A strided view whose dense copy is past the segment threshold (512 KiB).
+_STRIDED_BIG = np.arange(SHM_THRESHOLD_BYTES // 2, dtype=np.float64)[::2]
+
+
 def _job_processes_array_wire(comm):
-    arr = np.arange(10.0)[::2] if comm.is_master else None  # strided input
-    data = comm.bcast_array(arr)
-    return np.ascontiguousarray(data)
+    out = []
+    for arr in (np.arange(10.0)[::2], _STRIDED_BIG):  # strided inputs
+        data = comm.bcast_array(arr if comm.is_master else None)
+        out.append((data.copy(), data.flags.c_contiguous,
+                    data.flags.writeable, len(comm._attached)))
+    return out
 
 
 class TestProcessArrayCollectives:
     def test_strided_input_broadcasts_densely(self):
-        from repro.mpi import run_spmd_processes
-
+        assert _STRIDED_BIG.nbytes > SHM_THRESHOLD_BYTES
         results = run_spmd_processes(_job_processes_array_wire, 3)
-        for r in results:
-            np.testing.assert_array_equal(r, [0.0, 2.0, 4.0, 6.0, 8.0])
+        for rank, (small, big) in enumerate(results):
+            np.testing.assert_array_equal(small[0], [0.0, 2.0, 4.0, 6.0, 8.0])
+            np.testing.assert_array_equal(big[0], _STRIDED_BIG)
+            assert small[1] and big[1]                 # dense on arrival
+            if rank:
+                # Workers get read-only arrays; only the big one maps a
+                # shared segment.
+                assert not small[2] and not big[2]
+                assert (small[3], big[3]) == (0, 1)

@@ -69,7 +69,6 @@ def _stale_override_call(entry):
     """A call of ``entry`` that still passes the removed ``blas_threads=``."""
     from repro import pmaxT
     from repro.corr import pcor
-    from repro.mpi.shm import run_spmd_shm
     from repro.serve import PoolManager
 
     X = np.ones((4, 4))
@@ -77,15 +76,13 @@ def _stale_override_call(entry):
         "pmaxT": lambda: pmaxT(X, [0, 0, 1, 1], B=10, blas_threads=1),
         "pcor": lambda: pcor(X, backend="threads", ranks=2, blas_threads=1),
         "open_session": lambda: open_session("shm", 2, blas_threads=1),
-        "launch_master": lambda: launch_master("processes", 2,
+        "launch_master": lambda: launch_master("shm", 2,
                                                _worker_budget,
                                                blas_threads=1),
         "PoolManager": lambda: PoolManager("threads", 1, pools=1,
                                            blas_threads=1),
         "run_spmd_processes": lambda: run_spmd_processes(_worker_budget, 2,
                                                          blas_threads=1),
-        "run_spmd_shm": lambda: run_spmd_shm(_worker_budget, 2,
-                                             blas_threads=1),
     }
     return calls[entry]
 
@@ -95,22 +92,20 @@ class TestRemovedOverride:
 
     @pytest.mark.parametrize("entry", [
         "pmaxT", "pcor", "open_session", "launch_master", "PoolManager",
-        "run_spmd_processes", "run_spmd_shm",
+        "run_spmd_processes",
     ])
     def test_stale_keyword_fails_loudly(self, entry):
         """A caller still passing ``blas_threads=`` fails before any world."""
         with pytest.raises(TypeError, match="blas_threads"):
             _stale_override_call(entry)()
 
-    @pytest.mark.parametrize("backend", ["processes", "shm"])
-    def test_stale_environment_variable_is_ignored(self, backend,
-                                                   monkeypatch):
+    def test_stale_environment_variable_is_ignored(self, monkeypatch):
         """``REPRO_BLAS_THREADS`` no longer moves a forked rank's cap."""
         if not blas_available():
             pytest.skip("no controllable BLAS in this build")
         cap = rank_cap(2)
         monkeypatch.setenv("REPRO_BLAS_THREADS", str(cap + 1))
-        budgets = launch_master(backend, 2,
+        budgets = launch_master("shm", 2,
                                 lambda comm: comm.gather(get_blas_threads()))
         assert budgets == [cap, cap]
 
@@ -132,13 +127,12 @@ class TestWorkerBootstrap:
         assert envs == [str(rank_cap(2))] * 2
 
 
-    @pytest.mark.parametrize("backend", ["processes", "shm"])
-    def test_worker_export_stays_in_the_worker(self, backend):
+    def test_worker_export_stays_in_the_worker(self):
         """The ``*_NUM_THREADS`` a worker exports never reach the parent."""
         import os
 
         before = {var: os.environ.get(var) for var in _THREAD_ENV_VARS}
-        envs = launch_master(backend, 2,
+        envs = launch_master("shm", 2,
                              lambda comm: comm.gather(_worker_env(comm)))
         assert envs == [str(rank_cap(2))] * 2
         assert {var: os.environ.get(var)
@@ -319,7 +313,7 @@ class TestThreadEnvCeiling:
 
     def test_one_shot_processes_world(self, automatic, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        assert launch_master("processes", 1, _worker_budget) == 1
+        assert launch_master("shm", 1, _worker_budget) == 1
 
     def test_shm_session_job(self, automatic, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")

@@ -133,17 +133,16 @@ def test_pmaxt_is_cap_invariant_in_process(small_matrix, monkeypatch, test,
 
 
 @pytest.mark.parametrize("ranks", [1, 2])
-@pytest.mark.parametrize("backend", ["processes", "shm"])
 @pytest.mark.parametrize("test", ["t", "f"])
 def test_pmaxt_is_cap_invariant_in_forked_worlds(small_matrix, monkeypatch,
-                                                  test, backend, ranks):
+                                                  test, ranks):
     """(b) Reduced set on the forked worlds: ``side="abs"``, with NA, each
     against serial ``pmaxT``.  A 1-rank world's default cap is every core,
     so its cap-lowering comparison runs on any multi-core host; a 2-rank
     world's needs 4+ cores."""
     X = inject_missing(small_matrix, 0.05, seed=9)
     labels = _design(test, X.shape[1])
-    forked = _across_caps(X, labels, backend, ranks, monkeypatch, test=test)
+    forked = _across_caps(X, labels, "shm", ranks, monkeypatch, test=test)
     with blas_thread_limit(WIDE):
         _same(forked, pmaxT(X, labels, B=60, seed=3, test=test))
 

@@ -112,7 +112,7 @@ class TestPublish:
 
 class TestBitIdentity:
     @pytest.mark.parametrize("backend,ranks", [
-        ("serial", 1), ("threads", 3), ("processes", 2), ("shm", 3),
+        ("serial", 1), ("threads", 3), ("shm", 3),
     ])
     def test_pmaxt_handle_matches_matrix(self, dataset, backend, ranks):
         X, labels = dataset

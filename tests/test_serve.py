@@ -198,7 +198,7 @@ class TestAdmissionControl:
 class TestHealthAndReroute:
     def test_crash_mid_job_reroutes_to_healthy_pool(self, tmp_path):
         sentinel = str(tmp_path / "crashed-once")
-        with PoolManager("processes", 2, pools=2) as manager:
+        with PoolManager("shm", 2, pools=2) as manager:
             job = manager.submit(JobSpec(
                 kind="fn",
                 fn=functools.partial(_master_ok, sentinel=sentinel),

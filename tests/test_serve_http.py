@@ -5,16 +5,22 @@ import contextlib
 import functools
 import http.client
 import json
+import os
+import signal
 import socket
 import statistics
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro import pmaxT
 from repro.errors import QueueFullError, ServiceError
 from repro.serve import JobSpec, PoolManager, ServiceClient, make_server
@@ -411,3 +417,32 @@ class TestHeldPoll:
             assert not thread.is_alive() and not closer.is_alive()
             assert box["doc"]["state"] == "cancelled"
             assert elapsed < serve_http._POLL_HOLD_S + 2
+
+
+def _ignore_sigint():
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+class TestServeShutdown:
+    @pytest.mark.parametrize("sig", [signal.SIGINT, signal.SIGTERM],
+                             ids=["sigint", "sigterm"])
+    def test_signal_shuts_serve_down_cleanly(self, sig):
+        """``repro-maxt serve`` exits 0 on either signal, even when it
+        inherits SIGINT ignored, as a background shell job does."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONUNBUFFERED="1", PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+             "--pools", "1", "--ranks", "1"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, preexec_fn=_ignore_sigint)
+        try:
+            assert "listening on" in proc.stdout.readline()
+            proc.send_signal(sig)
+            _, err = proc.communicate(timeout=10)
+            assert proc.returncode == 0, err
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()

@@ -144,10 +144,9 @@ def dataset():
 
 class TestOpenSession:
     def test_process_backends_get_persistent_pools(self):
-        for name in ("processes", "shm"):
-            with open_session(name, 2) as ses:
-                assert isinstance(ses, WorkerPoolSession)
-                assert ses.backend_name == name and ses.ranks == 2
+        with open_session("shm", 2) as ses:
+            assert isinstance(ses, WorkerPoolSession)
+            assert ses.backend_name == "shm" and ses.ranks == 2
 
     def test_in_process_backends_get_ephemeral_sessions(self):
         for name, ranks in (("threads", 3), ("serial", 1)):
@@ -299,7 +298,7 @@ class TestWarmReuse:
                 assert results[1] is None and results[2] is None
 
     def test_resident_cache_survives_across_jobs(self):
-        with open_session("processes", 3) as ses:
+        with open_session("shm", 3) as ses:
             for expected in (1, 2, 3):
                 results = ses.run(_job_cache_counter)
                 assert results == [(0, expected), (1, expected),
@@ -357,7 +356,7 @@ class TestWarmReuse:
         def script(master):
             return master.call("papply", _times_three, [1, 2, 3])
 
-        with open_session("processes", 3) as ses:
+        with open_session("shm", 3) as ses:
             assert run_sprint(script, session=ses) == [3, 6, 9]
             assert run_sprint(script, session=ses) == [3, 6, 9]
             assert ses.spawns == 1
@@ -403,7 +402,7 @@ class TestLifecycle:
         assert _wait_pids_dead(pids)
 
     @pytest.mark.parametrize("backend,ranks",
-                             [("serial", 1), ("processes", 2)])
+                             [("serial", 1), ("shm", 2)])
     def test_gc_collects_an_unclosed_session_and_its_thread(self, backend,
                                                            ranks):
         # The session thread holds no reference to the session: an
@@ -500,7 +499,7 @@ class TestCrashRecovery:
             assert victim not in {pid for _, pid in results[1:]}
 
     def test_unpicklable_job_fails_fast_without_poisoning_the_pool(self):
-        with open_session("processes", 2) as ses:
+        with open_session("shm", 2) as ses:
             ses.run(_job_pid)
             x = object()
             with pytest.raises(CommunicatorError, match="not picklable"):
@@ -512,8 +511,7 @@ class TestCrashRecovery:
 
 class TestDtypeAwareBcast:
     @pytest.mark.parametrize("backend,ranks",
-                             [("serial", 1), ("threads", 3),
-                              ("processes", 3), ("shm", 3)])
+                             [("serial", 1), ("threads", 3), ("shm", 3)])
     def test_float32_wire_on_every_backend(self, backend, ranks):
         for job, expected in ((_job_bcast_f32_big, 201.0),
                               (_job_bcast_f32_small, 120.0)):

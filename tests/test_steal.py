@@ -373,14 +373,13 @@ class TestFixedBlasCap:
     job's slowest rank is running.
     """
 
-    @pytest.mark.parametrize("backend", ["processes", "shm"])
     @pytest.mark.parametrize("B,schedule,steal_block", [
         (512, "static", None),   # the Figure-2 plan: one block per rank
         (500, "steal", 256),     # one block per rank, empty pool
         (1000, "steal", 100),    # a pool the ranks steal from
     ], ids=["static", "empty-pool", "pool"])
     def test_ranks_keep_bootstrap_cap(self, dataset, monkeypatch, tmp_path,
-                                      backend, B, schedule, steal_block):
+                                      B, schedule, steal_block):
         if not blas_available():
             pytest.skip("no controllable BLAS in this build")
         import repro.core.pmaxt as pmaxt_module
@@ -397,7 +396,7 @@ class TestFixedBlasCap:
 
         monkeypatch.setattr(pmaxt_module, "run_kernel", kernel)
         X, y = dataset
-        pmaxT(X, y, B=B, backend=backend, ranks=2, schedule=schedule,
+        pmaxT(X, y, B=B, backend="shm", ranks=2, schedule=schedule,
               steal_block=steal_block)
         seen = [line.split() for line in log.read_text().splitlines()]
         assert len({pid for pid, _ in seen}) == 2   # both ranks computed
@@ -410,7 +409,7 @@ class TestFixedBlasCap:
 
 class TestBitIdentity:
     @pytest.mark.parametrize("backend,ranks", [
-        ("threads", 3), ("processes", 3), ("shm", 4)])
+        ("threads", 3), ("shm", 4)])
     def test_steal_matches_static(self, dataset, backend, ranks):
         X, y = dataset
         static = pmaxT(X, y, B=600, backend=backend, ranks=ranks,
