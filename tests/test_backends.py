@@ -415,3 +415,158 @@ class TestProcessArrayCollectives:
                 # shared segment.
                 assert not small[2] and not big[2]
                 assert (small[3], big[3]) == (0, 1)
+
+
+# Each entry point that takes a backend name, called with the removed
+# "processes" name; every one must fail before a world starts.
+def _stale_backend_call(entry):
+    from repro.mpi import open_session
+    from repro.mpi.backends import launch_master
+    from repro.serve import PoolManager
+    from repro.sprint import run_sprint
+
+    X = np.ones((4, 4))
+    calls = {
+        "pmaxT": lambda: pmaxT(X, [0, 0, 1, 1], B=10, backend="processes",
+                               ranks=2),
+        "pcor": lambda: pcor(X, backend="processes", ranks=2),
+        "open_session": lambda: open_session("processes", 2),
+        "launch_master": lambda: launch_master("processes", 2,
+                                               lambda comm: comm.rank),
+        "PoolManager": lambda: PoolManager("processes", 1, pools=1),
+        "run_sprint": lambda: run_sprint(_sprint_script,
+                                         backend="processes", ranks=2),
+    }
+    return calls[entry]
+
+
+class TestRemovedProcessesName:
+    @pytest.mark.parametrize("entry", [
+        "pmaxT", "pcor", "open_session", "launch_master", "PoolManager",
+        "run_sprint",
+    ])
+    def test_stale_name_lists_the_kept_backends(self, entry):
+        with pytest.raises(CommunicatorError,
+                           match="unknown backend 'processes'; "
+                                 "available: serial, shm, threads"):
+            _stale_backend_call(entry)()
+
+
+def _route_probe(arr, **kwargs):
+    """A 3-rank job broadcasting ``arr`` from rank 0.
+
+    Rank 0 returns its ``array_bytes`` tally; workers return what arrived
+    and how: the data, its dtype, C-contiguity, writeability and how many
+    segments the rank maps.
+    """
+    def job(comm):
+        data = comm.bcast_array(arr if comm.is_master else None, **kwargs)
+        if comm.is_master:
+            return comm.array_bytes
+        return (data.copy(), data.dtype, data.flags.c_contiguous,
+                data.flags.writeable, len(comm._attached))
+
+    return run_spmd_processes(job, 3)
+
+
+def _payload(nbytes, dtype):
+    """A non-constant array of ``dtype`` taking at least ``nbytes``."""
+    dtype = np.dtype(dtype)
+    n = -(-nbytes // dtype.itemsize)
+    return (np.arange(n) % 7).astype(dtype)
+
+
+# Payload sizes either side of the segment threshold.
+_ROUTE_BYTES = {"wire": SHM_THRESHOLD_BYTES // 4,
+                "segment": 2 * SHM_THRESHOLD_BYTES}
+
+
+def _assert_route(results, expected, route):
+    """Workers got ``expected`` read-only and dense over ``route``."""
+    wire_tally = expected.nbytes * 2                # one copy per worker
+    assert results[0] == (wire_tally if route == "wire"
+                          else expected.nbytes)     # one copy in all
+    for data, dtype, dense, writeable, mapped in results[1:]:
+        assert dtype == expected.dtype and data.shape == expected.shape
+        np.testing.assert_array_equal(data, expected)
+        assert dense and not writeable
+        assert mapped == (route == "segment")
+
+
+class TestBroadcastRoutes:
+    """``bcast_array`` of the one forked world, on both of its routes."""
+
+    @pytest.mark.parametrize("offset,route", [
+        (-8, "wire"), (0, "segment"), (8, "segment"),
+    ], ids=["below", "at", "above"])
+    def test_threshold_picks_the_route(self, offset, route):
+        arr = _payload(SHM_THRESHOLD_BYTES + offset, np.uint8)
+        assert arr.nbytes == SHM_THRESHOLD_BYTES + offset
+        _assert_route(_route_probe(arr), arr, route)
+
+    @pytest.mark.parametrize("dtype", [
+        np.float64, np.float32, np.int64, np.int32, np.uint8, np.bool_,
+    ])
+    @pytest.mark.parametrize("route", ["wire", "segment"])
+    def test_dtype_survives(self, route, dtype):
+        arr = _payload(_ROUTE_BYTES[route], dtype)
+        _assert_route(_route_probe(arr), arr, route)
+
+    @pytest.mark.parametrize("layout", [
+        "c-order", "fortran-order", "3-d", "reversed",
+    ])
+    @pytest.mark.parametrize("route", ["wire", "segment"])
+    def test_layout_arrives_dense(self, route, layout):
+        flat = _payload(_ROUTE_BYTES[route], np.float64)
+        flat = flat[:flat.size // 24 * 24]
+        arr = {
+            "c-order": lambda: flat.reshape(-1, 8),
+            "fortran-order": lambda: np.asfortranarray(flat.reshape(-1, 8)),
+            "3-d": lambda: flat.reshape(2, -1, 3),
+            "reversed": lambda: flat[::-1],
+        }[layout]()
+        _assert_route(_route_probe(arr), arr, route)
+
+    @pytest.mark.parametrize("source,cast,route", [
+        (np.float64, np.float32, "wire"),
+        (np.float32, np.float64, "segment"),
+    ], ids=["narrowed-to-wire", "widened-to-segment"])
+    def test_cast_happens_before_the_route_choice(self, source, cast, route):
+        # 3/4 of the threshold in the source dtype: narrowing halves it,
+        # widening doubles it past the threshold.
+        arr = _payload(SHM_THRESHOLD_BYTES * 3 // 4, source)
+        expected = arr.astype(cast)
+        _assert_route(_route_probe(arr, dtype=cast), expected, route)
+
+
+@pytest.fixture(scope="module")
+def segment_dataset():
+    """A matrix whose broadcast takes the segment route (~525 KiB)."""
+    X, _ = synthetic_expression(4200, 16, n_class1=8, de_fraction=0.1,
+                                seed=91)
+    assert X.nbytes > SHM_THRESHOLD_BYTES
+    return X, two_class_labels(8, 8)
+
+
+class TestSegmentRouteEquivalence:
+    """The equivalence matrix's data ride the wire; these ride the segment."""
+
+    @pytest.mark.parametrize("ranks", [2, 3, 4])
+    def test_pmaxt_identical_to_serial(self, segment_dataset, ranks):
+        X, labels = segment_dataset
+        serial = mt_maxT(X, labels, test="t", B=40, seed=23)
+        parallel = pmaxT(X, labels, test="t", B=40, seed=23,
+                         backend="shm", ranks=ranks)
+        np.testing.assert_array_equal(serial.teststat, parallel.teststat)
+        np.testing.assert_array_equal(serial.rawp, parallel.rawp)
+        np.testing.assert_array_equal(serial.adjp, parallel.adjp)
+        np.testing.assert_array_equal(serial.order, parallel.order)
+
+    @pytest.mark.parametrize("ranks", [2, 3, 4])
+    def test_pcor_identical_to_serial(self, segment_dataset, ranks):
+        # X takes the segment and Y the wire; a few Y rows keep the
+        # answer small.
+        X, _ = segment_dataset
+        Y = X[:10] * 2.0 + 1.0
+        np.testing.assert_array_equal(cor(X, Y),
+                                      pcor(X, Y, backend="shm", ranks=ranks))

@@ -182,6 +182,15 @@ class TestCli:
         assert exc.value.code == 2
         assert "--blas-threads" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("serve", [False, True], ids=["run", "serve"])
+    def test_removed_processes_backend_fails(self, csv_path, capsys, serve):
+        """``--backend processes`` is rejected; ``shm`` is the forked world."""
+        argv = ["serve"] if serve else [str(csv_path), "--b", "50"]
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv + ["--backend", "processes"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'processes'" in capsys.readouterr().err
+
     def test_wilcoxon_upper(self, csv_path, capsys):
         assert cli_main([str(csv_path), "--test", "wilcoxon", "--side",
                          "upper", "--b", "80"]) == 0
