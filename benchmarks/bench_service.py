@@ -1,26 +1,24 @@
 """Measured benchmark: service-tier throughput, latency, cache answers.
 
-The service tier (:mod:`repro.serve`) load-balances pmaxT jobs over N
-resident sessions.  This benchmark drives a :class:`~repro.serve.PoolManager`
-with a burst of independent pmaxT jobs at each pool count and records the
-saturation curve — jobs/s plus P50/P99 end-to-end latency (admission to
-result) per pool count — and the cache short-circuit win: an exactly
-repeated analysis answered from the shared result cache without touching a
-pool, versus the cold pool-computed run.  The comparison is written to
-``BENCH_service.json``.
+The service tier (:mod:`repro.serve`) runs pmaxT jobs one at a time on one
+resident session.  This benchmark drives a :class:`~repro.serve.PoolManager`
+with a burst of independent pmaxT jobs and records jobs/s plus P50/P99
+end-to-end latency (admission to result), and the cache short-circuit win:
+an exactly repeated analysis answered from the result cache without
+touching the session, versus the cold session-computed run.  The
+comparison is written to ``BENCH_service.json``.
 
 ``cache_hit_speedup`` is the scale-free ratio the CI bench-regression gate
-defends; the pool-count curve is informational (its absolute shape depends
-on the runner's core count).
+defends; the burst is informational (its absolute rate depends on the
+runner's core count).
 
 Run standalone (writes the JSON next to the repository root)::
 
     PYTHONPATH=src python benchmarks/bench_service.py
-    PYTHONPATH=src python benchmarks/bench_service.py \\
-        --genes 2000 --jobs 16 --pool-counts 1 2 4
+    PYTHONPATH=src python benchmarks/bench_service.py --genes 2000 --jobs 16
 
-or through pytest (acceptance shape: a curve over >= 2 pool counts and a
-real cache win)::
+or through pytest (acceptance shape: a measured burst and a real cache
+win)::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_service.py -q
 """
@@ -39,15 +37,14 @@ from repro.data import synthetic_expression, two_class_labels
 from repro.serve import PoolManager
 
 # The acceptance shape: a burst of moderate pmaxT jobs, distinct seeds so
-# every job is real work, over 1 and 2 pools.  Thread pools keep the
-# measurement about the service layer (admission, dispatch, balancing)
-# rather than process-spawn noise.
+# every job is real work.  A thread world keeps the measurement about the
+# service layer (admission, queue, dispatch) rather than process-spawn
+# noise.
 DEFAULT_GENES = 500
 DEFAULT_SAMPLES = 40
 DEFAULT_RANKS = 2
 DEFAULT_B = 500
 DEFAULT_JOBS = 8
-DEFAULT_POOL_COUNTS = (1, 2)
 DEFAULT_BACKEND = "threads"
 RESULT_FILE = "BENCH_service.json"
 
@@ -77,34 +74,28 @@ def measure(
     ranks=DEFAULT_RANKS,
     B=DEFAULT_B,
     jobs=DEFAULT_JOBS,
-    pool_counts=DEFAULT_POOL_COUNTS,
     backend=DEFAULT_BACKEND,
     seed=5,
 ) -> dict:
-    """Drive the service at each pool count; measure the cache answer win."""
+    """Time a burst through the service; measure the cache answer win."""
     X, _ = synthetic_expression(
         n_genes, n_samples, n_class1=n_samples // 2, de_fraction=0.1, seed=seed
     )
     labels = two_class_labels(n_samples // 2, n_samples - n_samples // 2)
 
-    # Saturation curve: the same burst of distinct jobs at each pool count
-    # (no cache — every job is computed).  One warm-up job per manager so
-    # the curve times dispatch over warm pools, not first-touch costs.
-    curve = []
-    for pools in pool_counts:
-        with PoolManager(
-            backend, ranks, pools=pools, max_queue=jobs + pools
-        ) as manager:
-            manager.submit_pmaxt(X, labels, B=50, seed=1).result(timeout=600)
-            point = _run_burst(manager, X, labels, B, jobs)
-            curve.append({"pools": pools, **point})
+    # Burst: distinct jobs, no cache — every job is computed.  One warm-up
+    # job first, so the burst times dispatch over a warm session, not
+    # first-touch costs.
+    with PoolManager(backend, ranks, max_queue=jobs + 1) as manager:
+        manager.submit_pmaxt(X, labels, B=50, seed=1).result(timeout=600)
+        burst = _run_burst(manager, X, labels, B, jobs)
 
     # Cache short-circuit: the first submission computes and populates the
-    # shared cache; the exact repeat is answered from disk at admission
-    # time without occupying a pool.  The ratio is the gated claim.
+    # cache; the exact repeat is answered from disk at admission time
+    # without reaching the session.  The ratio is the gated claim.
     with tempfile.TemporaryDirectory() as cache_dir:
         with PoolManager(
-            backend, ranks, pools=1, max_queue=4, cache_dir=cache_dir
+            backend, ranks, max_queue=4, cache_dir=cache_dir
         ) as manager:
             manager.submit_pmaxt(X, labels, B=50, seed=1).result(timeout=600)
             cold_job = manager.submit_pmaxt(X, labels, B=B, seed=2_000)
@@ -124,24 +115,20 @@ def measure(
         "B": B,
         "ranks": ranks,
         "backend": backend,
-        "jobs_per_point": jobs,
-        "pools_curve": curve,
+        "jobs": jobs,
+        "burst": burst,
         "cold_job_s": cold_s,
         "cache_answer_s": hit_s,
         "cache_hit_speedup": cold_s / hit_s,
     }
 
 
-def test_service_curve_and_cache_win():
-    """ISSUE acceptance: a >= 2-point pool curve and a real cache win."""
-    result = measure(
-        n_genes=300, n_samples=24, B=300, jobs=4, pool_counts=(1, 2)
-    )
-    assert len(result["pools_curve"]) >= 2
-    assert {p["pools"] for p in result["pools_curve"]} == {1, 2}
-    for point in result["pools_curve"]:
-        assert point["jobs_per_s"] > 0
-        assert point["p50_latency_s"] <= point["p99_latency_s"]
+def test_service_burst_and_cache_win():
+    """A measured burst and a real cache win."""
+    result = measure(n_genes=300, n_samples=24, B=300, jobs=4)
+    burst = result["burst"]
+    assert burst["jobs_per_s"] > 0
+    assert burst["p50_latency_s"] <= burst["p99_latency_s"]
     assert result["cache_hit_speedup"] > 1.0, (
         f"cache-answered job ({result['cache_answer_s']:.4f}s) should beat "
         f"the cold pool-computed job ({result['cold_job_s']:.4f}s)"
@@ -150,17 +137,15 @@ def test_service_curve_and_cache_win():
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Measure service-tier throughput/latency vs pool count "
-        "and the result-cache short-circuit win."
+        description="Measure service-tier throughput/latency and the "
+        "result-cache short-circuit win."
     )
     parser.add_argument("--genes", type=int, default=DEFAULT_GENES)
     parser.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     parser.add_argument("--ranks", type=int, default=DEFAULT_RANKS)
     parser.add_argument("--b", type=int, default=DEFAULT_B, dest="B")
     parser.add_argument("--jobs", type=int, default=DEFAULT_JOBS,
-                        help="burst size per pool count")
-    parser.add_argument("--pool-counts", type=int, nargs="+",
-                        default=list(DEFAULT_POOL_COUNTS))
+                        help="burst size")
     parser.add_argument("--backend", default=DEFAULT_BACKEND)
     parser.add_argument(
         "--out",
@@ -170,8 +155,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     result = measure(
-        args.genes, args.samples, args.ranks, args.B, args.jobs,
-        tuple(args.pool_counts), args.backend,
+        args.genes, args.samples, args.ranks, args.B, args.jobs, args.backend,
     )
 
     out = (
@@ -184,15 +168,15 @@ def main(argv=None) -> int:
 
     print(
         f"service: pmaxT {result['matrix'][0]}x{result['matrix'][1]}, "
-        f"B={result['B']}, {result['jobs_per_point']} jobs/burst, "
+        f"B={result['B']}, {result['jobs']} jobs/burst, "
         f"ranks={result['ranks']} on '{result['backend']}'"
     )
-    for point in result["pools_curve"]:
-        print(
-            f"  pools={point['pools']}: {point['jobs_per_s']:6.2f} jobs/s  "
-            f"P50 {point['p50_latency_s'] * 1e3:7.1f} ms  "
-            f"P99 {point['p99_latency_s'] * 1e3:7.1f} ms"
-        )
+    burst = result["burst"]
+    print(
+        f"  burst: {burst['jobs_per_s']:6.2f} jobs/s  "
+        f"P50 {burst['p50_latency_s'] * 1e3:7.1f} ms  "
+        f"P99 {burst['p99_latency_s'] * 1e3:7.1f} ms"
+    )
     print(
         f"  cache answer {result['cache_answer_s'] * 1e3:.1f} ms vs cold "
         f"{result['cold_job_s'] * 1e3:.1f} ms "

@@ -5,7 +5,7 @@ waits for ``/healthz``, submits a pmaxT analysis through
 :class:`~repro.serve.client.ServiceClient`, polls it to completion and
 asserts the wire result is **bit-identical** to a direct in-process
 ``pmaxT()`` run — the service tier must never change an answer.  Also
-checks ``/statsz`` reports the configured pools and the completed job,
+checks ``/statsz`` reports the one resident session and the completed job,
 and times 20 keep-alive ``/healthz`` round trips on one connection: a
 median above 20 ms means replies stall on the peer's delayed ACK again
 (headers and body sent as two writes), which costs ~40 ms per request.
@@ -14,7 +14,7 @@ Exit status 0 = all checks passed, 1 = any failure (the CI service-smoke
 job gates on it)::
 
     PYTHONPATH=src python benchmarks/service_smoke.py
-    PYTHONPATH=src python benchmarks/service_smoke.py --pools 4 --b 2000
+    PYTHONPATH=src python benchmarks/service_smoke.py --ranks 4 --b 2000
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from repro.serve import ServiceClient
 DEFAULT_GENES = 400
 DEFAULT_SAMPLES = 32
 DEFAULT_B = 1_000
-DEFAULT_POOLS = 2
 DEFAULT_RANKS = 2
 DEFAULT_BACKEND = "threads"
 
@@ -50,14 +49,14 @@ KEEPALIVE_MEDIAN_LIMIT_S = 0.020
 _LISTEN_RE = re.compile(r"listening on http://([\d.]+):(\d+)")
 
 
-def _start_server(pools: int, ranks: int, backend: str) -> tuple:
+def _start_server(ranks: int, backend: str) -> tuple:
     """Launch ``repro-maxt serve --port 0``; return (process, base_url)."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = f"{src}{os.pathsep}" + env.get("PYTHONPATH", "")
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
-         "--pools", str(pools), "--ranks", str(ranks),
+         "--ranks", str(ranks),
          "--backend", backend],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
         text=True,
@@ -99,14 +98,14 @@ def _keepalive_median(base_url: str) -> float:
     return statistics.median(times)
 
 
-def run_smoke(genes: int, samples: int, B: int, pools: int, ranks: int,
+def run_smoke(genes: int, samples: int, B: int, ranks: int,
               backend: str) -> int:
     X, _ = synthetic_expression(
         genes, samples, n_class1=samples // 2, de_fraction=0.1, seed=5)
     labels = two_class_labels(samples // 2, samples - samples // 2)
     direct = pmaxT(X, labels, B=B, seed=17)
 
-    proc, base_url = _start_server(pools, ranks, backend)
+    proc, base_url = _start_server(ranks, backend)
     try:
         client = ServiceClient(base_url)
         _wait_healthy(client)
@@ -140,10 +139,10 @@ def run_smoke(genes: int, samples: int, B: int, pools: int, ranks: int,
             return 1
         sig = int(np.sum(direct.adjp <= 0.05))
         print(f"pmaxT {genes}x{samples} B={doc['result']['nperm']}: "
-              f"{sig} genes at FWER 0.05, served by pool {doc['pool']}")
+              f"{sig} genes at FWER 0.05 after {doc['attempts']} attempt(s)")
 
         stats = client.statsz()
-        if stats["pools"] != pools or stats["jobs_done"] < 1:
+        if stats["pools"] != 1 or stats["jobs_done"] < 1:
             print(f"statsz MISMATCH: {stats}")
             return 1
         print(f"statsz ok: pools={stats['pools']} "
@@ -166,12 +165,11 @@ def main(argv=None) -> int:
     parser.add_argument("--genes", type=int, default=DEFAULT_GENES)
     parser.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     parser.add_argument("--b", type=int, default=DEFAULT_B, dest="B")
-    parser.add_argument("--pools", type=int, default=DEFAULT_POOLS)
     parser.add_argument("--ranks", type=int, default=DEFAULT_RANKS)
     parser.add_argument("--backend", default=DEFAULT_BACKEND)
     args = parser.parse_args(argv)
-    return run_smoke(args.genes, args.samples, args.B, args.pools,
-                     args.ranks, args.backend)
+    return run_smoke(args.genes, args.samples, args.B, args.ranks,
+                     args.backend)
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ permutation test on a dataset file without writing any Python::
     repro-maxt expression.npz --b 10000 --backend shm --ranks 4 --session
     repro-maxt expression.npz --b 50000 --cache-dir ~/.cache/repro
     repro-maxt cache ls --cache-dir ~/.cache/repro
-    repro-maxt serve --pools 4 --backend shm --ranks 2 --port 8071
+    repro-maxt serve --backend shm --ranks 2 --port 8071
 
 Dataset formats are the CSV/NPZ layouts of :mod:`repro.data.io`.  The SPMD
 world comes from the execution-backend registry
@@ -214,30 +214,28 @@ def _serve_main(argv: list[str]) -> int:
     """The ``repro-maxt serve`` subcommand: run the HTTP service tier."""
     parser = argparse.ArgumentParser(
         prog="repro-maxt serve",
-        description="serve pmaxT/pcor over HTTP from resident worker pools "
+        description="serve pmaxT/pcor over HTTP from one resident worker pool "
         "(POST /v1/jobs, GET /v1/jobs/<id>, /healthz, /statsz)")
     parser.add_argument("--host", default="127.0.0.1",
                         help="bind address (default 127.0.0.1)")
     parser.add_argument("--port", type=int, default=8071,
                         help="bind port (default 8071; 0 picks a free one)")
-    parser.add_argument("--pools", type=int, default=2,
-                        help="resident sessions to load-balance over")
     parser.add_argument("--backend", default=DEFAULT_BACKEND,
                         choices=available_backends(),
-                        help="execution backend of each pool")
+                        help="execution backend of the resident session")
     parser.add_argument("--ranks", type=int, default=2,
-                        help="world size of each pool (master included)")
+                        help="world size of the session (master included)")
     parser.add_argument("--max-queue", type=int, default=16,
                         help="admission-queue depth before submissions are "
                         "rejected with 429 backpressure")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="shared result cache: repeated analyses are "
-                        "answered from disk without occupying a pool "
+                        "answered from disk without occupying the session "
                         "(default: $REPRO_CACHE_DIR)")
     parser.add_argument("--job-timeout", type=float, default=None,
                         help="default per-job execution deadline in seconds")
     parser.add_argument("--idle-timeout", type=float, default=None,
-                        help="tear idle pools down after this many seconds "
+                        help="tear the idle world down after this many seconds "
                         "(respawned on the next job)")
     args = parser.parse_args(argv)
     cache_dir = args.cache_dir or os.environ.get("REPRO_CACHE_DIR") or None
@@ -246,9 +244,9 @@ def _serve_main(argv: list[str]) -> int:
 
     try:
         manager = PoolManager(
-            args.backend, max(1, args.ranks), pools=max(1, args.pools),
-            max_queue=args.max_queue, idle_timeout=args.idle_timeout,
-            job_timeout=args.job_timeout, cache_dir=cache_dir,
+            args.backend, max(1, args.ranks), max_queue=args.max_queue,
+            idle_timeout=args.idle_timeout, job_timeout=args.job_timeout,
+            cache_dir=cache_dir,
         )
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)

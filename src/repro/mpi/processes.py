@@ -46,6 +46,7 @@ import pickle
 import queue as queue_mod
 import time
 import traceback
+import weakref
 from multiprocessing import shared_memory
 from typing import Any, Callable
 
@@ -138,8 +139,9 @@ class ProcessComm(Communicator):
         # rank's gather #2 payload can arrive while the root is still
         # collecting gather #1, and must not be consumed by it.
         self._opseq = 0
-        # Mappings of peers' broadcast segments still exported by views.
-        self._attached: list[shared_memory.SharedMemory] = []
+        # Mappings of peers' broadcast segments, each with a weak
+        # reference to the view that reads it.
+        self._attached: list[tuple[shared_memory.SharedMemory, weakref.ref]] = []
 
     @property
     def rank(self) -> int:
@@ -294,9 +296,9 @@ class ProcessComm(Communicator):
         self._prune_attached()
         segment = shared_memory.SharedMemory(name=ref)
         _untrack(segment)
-        self._attached.append(segment)
         view = np.ndarray(shape, dtype=dtype_str, buffer=segment.buf)
         view.flags.writeable = False
+        self._attached.append((segment, weakref.ref(view)))
         self.barrier()
         return view
 
@@ -364,18 +366,23 @@ class ProcessComm(Communicator):
 
         Runs before each segment attach, after each session job and when a
         one-shot rank finishes, so a world that broadcasts repeatedly does
-        not pin every broadcast's pages until teardown.  ``close`` raises
-        :class:`BufferError` while a live view still exports the buffer, so
-        exactly the mappings still in use survive the sweep (the OS
-        reclaims those at exit; names were unlinked per collective).
+        not pin every broadcast's pages until teardown.  A mapping is closed
+        only once its view is garbage: numpy keeps no buffer export on
+        ``segment.buf``, so ``close`` would succeed under a live view and
+        unmap the pages it reads (a later mapping can then land at the same
+        address, and the stale view reads the next broadcast's data).
+        Every array derived from the view holds the view itself as its
+        base, so the weak reference dies with the last of them.  Mappings
+        still in use survive the sweep (the OS reclaims those at exit;
+        names were unlinked per collective).
         """
-        still_referenced = []
-        for segment in self._attached:
-            try:
+        live = []
+        for segment, view in self._attached:
+            if view() is None:
                 segment.close()
-            except BufferError:
-                still_referenced.append(segment)
-        self._attached = still_referenced
+            else:
+                live.append((segment, view))
+        self._attached = live
 
 
 def _worker(fn, rank, size, inboxes, results, timeout):  # pragma: no cover

@@ -239,6 +239,11 @@ class BackendSession(ABC):
             self._datasets = DatasetRegistry(use_shm=self._publish_via_shm())
         return self._datasets.publish(X, labels)
 
+    def unpublish(self, handle) -> None:
+        """Drop one published dataset and unlink its segments now."""
+        if self._datasets is not None:
+            self._datasets.unpublish(handle)
+
     def _publish_via_shm(self) -> bool:
         """Whether :meth:`publish` writes shared-memory segments."""
         return False

@@ -1,4 +1,4 @@
-"""Service tier: resident sessions behind a load-balanced HTTP front-end.
+"""Service tier: one resident session behind an HTTP front-end.
 
 Three layers turn the library's resident worker pools into a service
 that answers many concurrent users — the ROADMAP's "heavy traffic"
@@ -8,11 +8,11 @@ north-star on top of the paper's long-lived ``mpiexec`` allocation:
    runs one SPMD job at a time on the session's own thread; the caller
    blocks until it completes.
 2. **The pool manager** (:class:`PoolManager`) — the one asynchronous
-   job queue: owns N resident sessions, load-balances jobs across them
-   with a bounded admission queue (reject-with-backpressure), per-job
-   priorities and cancellation, per-pool health tracking with crash
-   rerouting, and a shared content-addressed result cache that answers
-   repeated analyses from disk without touching a pool.
+   job queue: owns one resident session and runs jobs on it one at a
+   time, with a bounded admission queue (reject-with-backpressure),
+   per-job priorities and cancellation, health tracking with one retry
+   after a world crash, and a content-addressed result cache that
+   answers repeated analyses from disk without touching the session.
 3. **The HTTP front-end** (:func:`make_server` / ``repro-maxt serve``) —
    ``POST /v1/jobs`` + ``GET /v1/jobs/<id>`` plus ``/healthz`` and
    ``/statsz``, stdlib-only; :class:`ServiceClient` is the matching
@@ -22,7 +22,7 @@ Quick start::
 
     from repro.serve import PoolManager, make_server
 
-    with PoolManager("shm", ranks=2, pools=2,
+    with PoolManager("shm", ranks=2,
                      cache_dir="/tmp/maxt-cache") as manager:
         job = manager.submit_pmaxt(X, labels, B=10_000)
         result = job.result()          # a MaxTResult, bit-identical

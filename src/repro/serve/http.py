@@ -8,8 +8,9 @@ Endpoints (JSON in, JSON out)::
     GET  /v1/jobs/<id>         poll; answered when the job ends (or after a
                                ~1 s hold); terminal success includes "result"
     POST /v1/jobs/<id>/cancel  withdraw a queued job
-    GET  /healthz              200 {"status": "ok"} while a healthy pool exists
-    GET  /statsz               pool occupancy, queue depth, cache hit rate,
+    GET  /healthz              200 {"status": "ok"} unless the last run ended
+                               in a world failure
+    GET  /statsz               runner busy flag, queue depth, cache hit rate,
                                jobs/s (PoolManager.stats())
 
 Backpressure: a full admission queue turns into ``429 Too Many Requests``
@@ -38,7 +39,7 @@ connection, so the unread bytes can never be parsed as the next request.
 
 The server is :class:`http.server.ThreadingHTTPServer` — one thread per
 in-flight request, which is plenty for a front-end whose heavy work
-happens on the manager's pool runners.  Results serialise through
+happens on the manager's runner.  Results serialise through
 ``ServiceJob.to_dict``; Python's JSON float round-trip is exact for
 finite doubles, so a pmaxT result fetched over HTTP is bit-identical to
 the direct ``pmaxT()`` return (asserted end-to-end by the CI smoke job).
@@ -228,8 +229,9 @@ def serve_forever(manager: PoolManager, host: str = "127.0.0.1", port: int = 807
 
     On the main thread, SIGINT and SIGTERM both end the loop through
     ``KeyboardInterrupt``, whatever dispositions the process inherited (a
-    background job starts with SIGINT ignored), so the pools are always
-    closed.  The previous handlers come back on return.
+    background job starts with SIGINT ignored), so the session is always
+    closed.  The banner is flushed at once: a reader on a pipe waits for
+    that line to learn the port.  The previous handlers come back on return.
     """
     server = make_server(manager, host, port)
     previous = {}
@@ -243,7 +245,8 @@ def serve_forever(manager: PoolManager, host: str = "127.0.0.1", port: int = 807
         addr = server.server_address
         print(
             f"repro-serve listening on http://{addr[0]}:{addr[1]} "
-            f"(pools={manager.stats()['pools']}, ranks={manager.ranks})"
+            f"(backend={manager.session.backend_name}, ranks={manager.ranks})",
+            flush=True,
         )
         server.serve_forever()
     except KeyboardInterrupt:

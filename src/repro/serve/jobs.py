@@ -3,12 +3,12 @@
 A :class:`JobSpec` is what a client asks for — a pmaxT or pcor analysis
 (or, internally, a raw SPMD callable) plus scheduling knobs — and a
 :class:`ServiceJob` is the manager's handle for one admitted spec: its
-lifecycle state, timing, placement and result.  It is the only job state
+lifecycle state, timing, attempts and result.  It is the only job state
 machine in the tree (a session just runs one job at a time): ``queued ->
-running -> done | failed``, or ``queued -> cancelled``, plus a crash
-reroute: a job whose pool crashed mid-run moves ``running -> queued``
-again so a healthy pool can rerun it (permutation results are
-deterministic, so a rerun is indistinguishable from a first run).
+running -> done | failed``, or ``queued -> cancelled``.  A job whose world
+crashed mid-run stays ``running`` while the manager reruns it once
+(permutation results are deterministic, so a rerun is indistinguishable
+from a first run).
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ class JobSpec:
     params: dict = field(default_factory=dict)
     #: Lower runs first; ties in admission order.
     priority: int = 0
-    #: Per-run execution deadline in seconds (``None`` = pool default).
+    #: Per-run execution deadline in seconds (``None`` = manager default).
     timeout: float | None = None
     fn: Callable | None = None
     worker_fn: Callable | None = None
@@ -69,14 +69,10 @@ class ServiceJob:
         self.submitted_at = time.time()
         self.started_at: float | None = None
         self.finished_at: float | None = None
-        #: Index of the pool that ran (or is running) the job.
-        self.pool: int | None = None
-        #: Execution attempts (> 1 after a crash-reroute).
+        #: Execution attempts (2 after a crash retry).
         self.attempts = 0
         #: True when the result came straight from the result cache.
         self.cached = False
-        #: Pools excluded after failing this job (reroute targets the rest).
-        self.not_pools: set[int] = set()
         self._cond = threading.Condition()
         self._state = JOB_QUEUED
         self._result: Any = None
@@ -135,17 +131,21 @@ class ServiceJob:
 
     # -- manager-side transitions ------------------------------------------
 
-    def _start(self, pool_index: int) -> bool:
-        """Claim the job for one pool; False when cancellation won."""
+    def _start(self) -> bool:
+        """Claim the job for the runner; False when cancellation won."""
         with self._cond:
             if self._state != JOB_QUEUED:
                 return False
             self._state = JOB_RUNNING
             if self.started_at is None:
                 self.started_at = time.time()
-            self.pool = pool_index
             self.attempts += 1
             return True
+
+    def _retry(self) -> None:
+        """Count the rerun that follows a world failure."""
+        with self._cond:
+            self.attempts += 1
 
     def _release_inputs(self) -> None:
         """Drop the submitted matrix once the job is terminal.
@@ -156,12 +156,6 @@ class ServiceJob:
         left untouched.  Called with ``_cond`` held.
         """
         self.spec = dataclasses.replace(self.spec, data=None, labels=None)
-
-    def _requeue(self) -> None:
-        """Crash-reroute: put a running job back in line for another pool."""
-        with self._cond:
-            self._state = JOB_QUEUED
-            self._cond.notify_all()
 
     def _finish(self, result: Any, *, cached: bool = False) -> None:
         with self._cond:
@@ -204,7 +198,6 @@ class ServiceJob:
                 "submitted_at": self.submitted_at,
                 "started_at": self.started_at,
                 "finished_at": self.finished_at,
-                "pool": self.pool,
                 "attempts": self.attempts,
                 "cached": self.cached,
             }

@@ -1,34 +1,32 @@
-"""Multi-pool job manager: admission control, load balancing, health.
+"""Job manager: admission control, priorities, health, one resident session.
 
-A :class:`PoolManager` owns N resident sessions (PR 3's
-:class:`~repro.mpi.session.WorkerPoolSession` for process-type backends)
-and schedules admitted jobs across them:
+A :class:`PoolManager` owns one resident session
+(:class:`~repro.mpi.session.WorkerPoolSession` on the ``shm`` backend)
+and one runner thread that executes admitted jobs on it strictly one at
+a time (the session contract):
 
 * **Bounded admission** — at most ``max_queue`` jobs wait; submissions
   beyond that raise :class:`~repro.errors.QueueFullError` so clients see
   backpressure instead of unbounded latency.
 * **Priorities** — lower ``priority`` runs first, ties in admission
-  order, via one shared binary heap all pool runners pull from.
+  order, via one binary heap.
 * **Cache short-circuit** — with a ``cache_dir``, an exactly repeated
-  pmaxT analysis is answered from the shared content-addressed
+  pmaxT analysis is answered from the content-addressed
   :class:`~repro.core.checkpoint.ResultCache` at submission time, without
-  ever occupying a pool (and every pool session shares the same cache
-  object, so pool-computed results populate it for later requests).
-* **Health + reroute** — a pool whose world crashes mid-job
-  (:class:`~repro.errors.CommunicatorError`) is marked unhealthy and the
-  job is rerouted to a pool that has not yet failed it; deterministic
-  permutation results make the rerun bit-identical.  Input errors
+  ever reaching the session (which shares the same cache object, so its
+  completed runs populate it for later requests).
+* **Health + retry** — a job whose world crashes mid-run
+  (:class:`~repro.errors.CommunicatorError`) runs once more on the same
+  session, which respawns its world on the next dispatch; deterministic
+  permutation results make the rerun bit-identical.  A second world
+  failure fails the job and marks the manager unhealthy until a run
+  succeeds.  Input errors
   (:class:`~repro.errors.OptionError`/:class:`~repro.errors.DataError`)
-  fail the job immediately — rerouting cannot fix a bad request.
+  fail the job immediately — a rerun cannot fix a bad request.
 
-Each pool is served by one runner thread executing jobs strictly one at a
-time (the session contract), so ``pools`` bounds service concurrency.
-Pools of an in-process backend (``threads``, ``serial``) also take turns
-with one another: they share one interpreter lock and one BLAS pool, so
-two jobs running on them at once only contend — neither finishes sooner,
-and each one's run time depends on whether the other overlapped it.  Their
-extra pools remain reroute targets.  Process-backend pools run side by
-side.
+One session, because a second world on a small host only competes for the
+same cores (and, in process, the same interpreter lock and BLAS pool):
+on 2 cores, two ``shm`` worlds served bursts slower than one.
 """
 
 from __future__ import annotations
@@ -53,7 +51,7 @@ from ..errors import (
     QueueFullError,
     ServiceError,
 )
-from ..mpi.backends import DEFAULT_BACKEND, open_session, resolve_backend
+from ..mpi.backends import open_session
 from .jobs import JOB_KINDS, JobSpec, ServiceJob
 
 __all__ = ["PoolManager"]
@@ -79,63 +77,29 @@ PMAXT_PARAMS = frozenset(
 )
 PCOR_PARAMS = frozenset({"use", "na"})
 
-#: Published-dataset handles memoised per pool (oldest evicted beyond this).
-_MAX_HANDLES_PER_POOL = 8
-
-
-class _Pool:
-    """One resident session plus its scheduling/health bookkeeping."""
-
-    def __init__(self, index: int, session):
-        self.index = index
-        self.session = session
-        self.busy = False
-        self.healthy = True
-        self.consecutive_failures = 0
-        self.jobs_done = 0
-        self.jobs_failed = 0
-        #: dataset fingerprint -> PublishedDataset (per-pool registry).
-        self.handles: dict[str, Any] = {}
-
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "busy": self.busy,
-            "healthy": self.healthy,
-            "jobs_done": self.jobs_done,
-            "jobs_failed": self.jobs_failed,
-            "warm": getattr(self.session, "warm", True),
-            "spawns": getattr(self.session, "spawns", 0),
-            "rank_respawns": getattr(self.session, "rank_respawns", 0),
-            "steal_jobs": getattr(self.session, "steal_jobs", 0),
-            "blocks_stolen": getattr(self.session, "blocks_stolen", 0),
-        }
+#: Published-dataset handles kept resident (the oldest is unpublished
+#: beyond this).
+_MAX_HANDLES = 8
 
 
 class PoolManager:
-    """Load-balance service jobs over ``pools`` resident sessions."""
+    """Serve admitted jobs, one at a time, on one resident session."""
 
     def __init__(
         self,
         backend: str | None = None,
         ranks: int = 2,
         *,
-        pools: int = 2,
         max_queue: int = 16,
         idle_timeout: float | None = None,
         job_timeout: float | None = None,
         cache_dir: str | None = None,
-        publish_datasets: bool = True,
     ):
-        if int(pools) < 1:
-            raise OptionError(f"pools must be >= 1, got {pools}")
         if int(max_queue) < 1:
             raise OptionError(f"max_queue must be >= 1, got {max_queue}")
-        self.backend = backend
         self.ranks = int(ranks)
         self.max_queue = int(max_queue)
         self.default_timeout = job_timeout
-        self.publish_datasets = publish_datasets
         self.cache = None
         if cache_dir is not None:
             from ..core.checkpoint import ResultCache
@@ -152,38 +116,18 @@ class PoolManager:
         self.jobs_failed = 0
         self.jobs_rerouted = 0
         self.cache_answers = 0
-        self._pools: list[_Pool] = []
-        self._runners: list[threading.Thread] = []
-        #: In-process pools run one job at a time across the manager (see
-        #: the module docstring).
-        self._take_turns = resolve_backend(
-            DEFAULT_BACKEND if backend is None else backend
-        ).in_process
-        try:
-            for index in range(int(pools)):
-                session = open_session(
-                    backend,
-                    ranks,
-                    idle_timeout=idle_timeout,
-                    job_timeout=job_timeout,
-                )
-                # One shared cache across every pool: any pool's completed
-                # run answers later identical submissions from disk.
-                session.cache = self.cache
-                self._pools.append(_Pool(index, session))
-        except BaseException:
-            for pool in self._pools:
-                pool.session.close()
-            raise
-        for pool in self._pools:
-            runner = threading.Thread(
-                target=self._pool_main,
-                args=(pool,),
-                name=f"serve-pool-{pool.index}",
-                daemon=True,
-            )
-            runner.start()
-            self._runners.append(runner)
+        self._busy = False
+        self._healthy = True
+        #: dataset fingerprint -> PublishedDataset, oldest first.
+        self._handles: dict[str, Any] = {}
+        self.session = open_session(
+            backend, ranks, idle_timeout=idle_timeout, job_timeout=job_timeout
+        )
+        # Runs the session computes populate the cache that answers later
+        # identical submissions at admission.
+        self.session.cache = self.cache
+        self._runner = threading.Thread(target=self._runner_main, name="serve-runner", daemon=True)
+        self._runner.start()
 
     # -- admission ---------------------------------------------------------
 
@@ -313,135 +257,104 @@ class PoolManager:
             return None  # invalid requests fail on the pool path instead
         return None
 
-    # -- pool runners ------------------------------------------------------
+    # -- the runner ------------------------------------------------------
 
-    def _pool_main(self, pool: _Pool) -> None:
+    def _runner_main(self) -> None:
         while True:
-            job = self._next_job(pool)
+            job = self._next_job()
             if job is None:
                 return
-            if not job._start(pool.index):
-                with self._cond:
-                    self._free(pool)
-                continue  # cancelled while queued
-            try:
-                result = self._run_job(pool, job)
-            except BaseException as exc:  # noqa: BLE001 - routed below
-                self._job_failed(pool, job, exc)
-            else:
-                with self._cond:
-                    self._free(pool)
-                    pool.healthy = True
-                    pool.consecutive_failures = 0
-                    pool.jobs_done += 1
-                    self.jobs_done += 1
-                job._finish(result)
+            if job._start():
+                try:
+                    result = self._run_with_retry(job)
+                except BaseException as exc:  # noqa: BLE001 - job's failure
+                    with self._cond:
+                        self.jobs_failed += 1
+                        if isinstance(exc, CommunicatorError):
+                            self._healthy = False
+                    job._fail(exc)
+                else:
+                    with self._cond:
+                        self.jobs_done += 1
+                        self._healthy = True
+                    job._finish(result)
+            with self._cond:
+                self._busy = False
 
-    def _next_job(self, pool: _Pool) -> ServiceJob | None:
-        """Block for the best queued job this pool may run; None on close."""
+    def _next_job(self) -> ServiceJob | None:
+        """Block for the best queued job; None on close."""
         with self._cond:
-            while True:
+            while not self._queue:
                 if self._closed:
                     return None
-                if self._take_turns and any(p.busy for p in self._pools):
-                    self._cond.wait()
-                    continue
-                taken = None
-                skipped = []
-                while self._queue:
-                    item = heapq.heappop(self._queue)
-                    if pool.index in item[2].not_pools:
-                        skipped.append(item)
-                        continue
-                    taken = item[2]
-                    break
-                for item in skipped:
-                    heapq.heappush(self._queue, item)
-                if taken is not None:
-                    pool.busy = True
-                    return taken
                 self._cond.wait()
+            self._busy = True
+            return heapq.heappop(self._queue)[2]
 
-    def _free(self, pool: _Pool) -> None:
-        """Mark ``pool`` idle and wake runners waiting for their turn
-        (``_cond`` held)."""
-        pool.busy = False
-        self._cond.notify_all()
+    def _run_with_retry(self, job: ServiceJob) -> Any:
+        """Run ``job``; after a world failure, run it once more.
 
-    def _run_job(self, pool: _Pool, job: ServiceJob) -> Any:
+        The session tears a failed world down and respawns it on the next
+        dispatch, and published segments outlive the respawn.  Permutation
+        results are deterministic, so the second run is bit-identical to
+        what the first would have returned.  Input errors are not retried.
+        """
+        try:
+            return self._run_job(job)
+        except CommunicatorError:
+            if self._closed:
+                raise
+            with self._cond:
+                self.jobs_rerouted += 1
+            job._retry()
+            return self._run_job(job)
+
+    def _run_job(self, job: ServiceJob) -> Any:
         spec = job.spec
         timeout = spec.timeout if spec.timeout is not None else self.default_timeout
         if spec.kind == "fn":
-            return pool.session.run(spec.fn, worker_fn=spec.worker_fn, timeout=timeout)
-        X = spec.data
-        classlabel = spec.labels
-        if self.publish_datasets:
-            X = self._published(pool, spec)
-            # The handle carries the published labels; letting pmaxT
-            # default to them reuses the publish-time fingerprint.
-            classlabel = None
+            return self.session.run(spec.fn, worker_fn=spec.worker_fn, timeout=timeout)
+        # The handle carries the published labels; letting pmaxT default
+        # to them reuses the publish-time fingerprint.
+        X = self._published(spec)
         if spec.kind == "pmaxt":
-            return pmaxT(X, classlabel, session=pool.session, timeout=timeout, **spec.params)
-        return pcor(X, session=pool.session, timeout=timeout, **spec.params)
+            return pmaxT(X, None, session=self.session, timeout=timeout, **spec.params)
+        return pcor(X, session=self.session, timeout=timeout, **spec.params)
 
-    def _published(self, pool: _Pool, spec: JobSpec):
-        """Publish the job's matrix into the pool's registry once.
+    def _published(self, spec: JobSpec):
+        """Publish the job's matrix into the session's registry once.
 
         Repeated submissions of one dataset then move zero bytes per job
-        (shared-memory segments for process-type pools); distinct datasets
-        rotate through a small per-pool handle budget.
+        (shared-memory segments on the ``shm`` backend).  Distinct
+        datasets rotate through a small handle budget: the oldest handle
+        is unpublished, which unlinks its segments.
         """
         labels = spec.labels if spec.kind == "pmaxt" else None
         data = np.asarray(spec.data, dtype=np.float64)
         fp = _dataset_fp_for(data, labels)
-        handle = pool.handles.get(fp)
+        handle = self._handles.get(fp)
         if handle is None:
-            handle = pool.session.publish(data, labels)
-            pool.handles[fp] = handle
-            while len(pool.handles) > _MAX_HANDLES_PER_POOL:
-                pool.handles.pop(next(iter(pool.handles)))
+            handle = self.session.publish(data, labels)
+            self._handles[fp] = handle
+            if len(self._handles) > _MAX_HANDLES:
+                self.session.unpublish(self._handles.pop(next(iter(self._handles))))
         return handle
-
-    def _job_failed(self, pool: _Pool, job: ServiceJob, exc: BaseException) -> None:
-        """Health bookkeeping + reroute decision for one failed run."""
-        world_failure = isinstance(exc, CommunicatorError)
-        with self._cond:
-            self._free(pool)
-            pool.jobs_failed += 1
-            if world_failure:
-                pool.consecutive_failures += 1
-                pool.healthy = False
-            job.not_pools.add(pool.index)
-            reroute = (
-                world_failure
-                and not self._closed
-                and len(job.not_pools) < len(self._pools)
-                and len(self._queue) < self.max_queue
-            )
-            if reroute:
-                self.jobs_rerouted += 1
-                job._requeue()
-                heapq.heappush(self._queue, (int(job.spec.priority), next(self._seq), job))
-                self._cond.notify_all()
-                return
-            self.jobs_failed += 1
-        job._fail(exc)
 
     # -- observability -----------------------------------------------------
 
     def stats(self) -> dict:
         """Service counters: occupancy, queue depth, cache traffic, jobs/s."""
+        session = self.session
         with self._cond:
-            busy = sum(1 for p in self._pools if p.busy)
-            healthy = sum(1 for p in self._pools if p.healthy)
             elapsed = max(time.monotonic() - self._started_at, 1e-9)
             stats: dict[str, Any] = {
-                "backend": self._pools[0].session.backend_name,
+                "backend": session.backend_name,
                 "ranks": self.ranks,
-                "pools": len(self._pools),
-                "pools_busy": busy,
-                "pools_healthy": healthy,
-                "occupancy": busy / len(self._pools),
+                "pools": 1,
+                "busy": self._busy,
+                "healthy": self._healthy,
+                "warm": getattr(session, "warm", True),
+                "spawns": getattr(session, "spawns", 0),
                 "queue_depth": len(self._queue),
                 "max_queue": self.max_queue,
                 "jobs_submitted": self.jobs_submitted,
@@ -451,13 +364,9 @@ class PoolManager:
                 "cache_answers": self.cache_answers,
                 "jobs_per_s": self.jobs_done / elapsed,
                 "uptime_s": elapsed,
-                "rank_respawns": sum(
-                    getattr(p.session, "rank_respawns", 0) for p in self._pools),
-                "steal_jobs": sum(
-                    getattr(p.session, "steal_jobs", 0) for p in self._pools),
-                "blocks_stolen": sum(
-                    getattr(p.session, "blocks_stolen", 0) for p in self._pools),
-                "pool_details": [p.to_dict() for p in self._pools],
+                "rank_respawns": getattr(session, "rank_respawns", 0),
+                "steal_jobs": getattr(session, "steal_jobs", 0),
+                "blocks_stolen": getattr(session, "blocks_stolen", 0),
             }
             if self.cache is not None:
                 stats.update(self.cache.stats())
@@ -466,14 +375,14 @@ class PoolManager:
             return stats
 
     def healthy(self) -> bool:
-        """Liveness: open, with at least one healthy pool."""
+        """Liveness: open, and the last run did not end in a world failure."""
         with self._cond:
-            return not self._closed and any(p.healthy for p in self._pools)
+            return not self._closed and self._healthy
 
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        """Cancel queued jobs, drain runners, close every pool; idempotent."""
+        """Cancel queued jobs, drain the runner, close the session; idempotent."""
         with self._cond:
             if self._closed:
                 return
@@ -483,11 +392,9 @@ class PoolManager:
             self._cond.notify_all()
         for job in queued:
             job.cancel()
-        for runner in self._runners:
-            if runner is not threading.current_thread():
-                runner.join()
-        for pool in self._pools:
-            pool.session.close()
+        if self._runner is not threading.current_thread():
+            self._runner.join()
+        self.session.close()
 
     def __enter__(self) -> "PoolManager":
         return self
@@ -498,6 +405,6 @@ class PoolManager:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "closed" if self._closed else "open"
         return (
-            f"PoolManager(pools={len(self._pools)}, ranks={self.ranks}, "
+            f"PoolManager(ranks={self.ranks}, "
             f"{state}, queued={self.queue_depth()}, done={self.jobs_done})"
         )

@@ -402,7 +402,33 @@ def _job_processes_array_wire(comm):
     return out
 
 
+def _job_held_segment_views(comm):
+    # Two segment broadcasts with the first view still held: attaching the
+    # second must not release the first one's mapping.
+    first = comm.bcast_array(_STRIDED_BIG if comm.is_master else None)
+    head = first[:4]
+    second = comm.bcast_array(_STRIDED_BIG * -1.0 if comm.is_master else None)
+    held = len(comm._attached)
+    out = (first.copy(), head.copy(), second.copy(), held)
+    del first, second
+    comm._prune_attached()
+    after_first_dropped = len(comm._attached)
+    del head
+    comm._prune_attached()
+    return out + (after_first_dropped, len(comm._attached))
+
+
 class TestProcessArrayCollectives:
+    def test_held_views_keep_their_mappings(self):
+        results = run_spmd_processes(_job_held_segment_views, 3)
+        for rank, (first, head, second, *attached) in enumerate(results):
+            np.testing.assert_array_equal(first, _STRIDED_BIG)
+            np.testing.assert_array_equal(head, _STRIDED_BIG[:4])
+            np.testing.assert_array_equal(second, -_STRIDED_BIG)
+            if rank:
+                # A slice of the first view keeps its mapping alive.
+                assert attached == [2, 1, 0]
+
     def test_strided_input_broadcasts_densely(self):
         assert _STRIDED_BIG.nbytes > SHM_THRESHOLD_BYTES
         results = run_spmd_processes(_job_processes_array_wire, 3)
@@ -433,7 +459,7 @@ def _stale_backend_call(entry):
         "open_session": lambda: open_session("processes", 2),
         "launch_master": lambda: launch_master("processes", 2,
                                                lambda comm: comm.rank),
-        "PoolManager": lambda: PoolManager("processes", 1, pools=1),
+        "PoolManager": lambda: PoolManager("processes", 1),
         "run_sprint": lambda: run_sprint(_sprint_script,
                                          backend="processes", ranks=2),
     }
@@ -561,6 +587,21 @@ class TestSegmentRouteEquivalence:
         np.testing.assert_array_equal(serial.rawp, parallel.rawp)
         np.testing.assert_array_equal(serial.adjp, parallel.adjp)
         np.testing.assert_array_equal(serial.order, parallel.order)
+
+    @pytest.mark.parametrize("backend", ["threads", "shm"])
+    @pytest.mark.parametrize("ranks", [2, 3, 4])
+    def test_pcor_long_rows_within_a_few_ulp(self, backend, ranks):
+        # Each rank correlates its row block against the whole matrix; at
+        # long rows the block's BLAS product may round differently from
+        # the whole-matrix one in the last place.  On shm both X and Y
+        # (537 KiB each) take the segment route.
+        rng = np.random.default_rng(17)
+        X, Y = rng.normal(size=(40, 1680)), rng.normal(size=(40, 1680))
+        bound = 8 * np.finfo(np.float64).eps
+        for args in ((X,), (X, Y)):
+            serial = cor(*args)
+            parallel = pcor(*args, backend=backend, ranks=ranks)
+            assert np.abs(parallel - serial).max() <= bound
 
     @pytest.mark.parametrize("ranks", [2, 3, 4])
     def test_pcor_identical_to_serial(self, segment_dataset, ranks):

@@ -79,8 +79,7 @@ def _stale_override_call(entry):
         "launch_master": lambda: launch_master("shm", 2,
                                                _worker_budget,
                                                blas_threads=1),
-        "PoolManager": lambda: PoolManager("threads", 1, pools=1,
-                                           blas_threads=1),
+        "PoolManager": lambda: PoolManager("threads", 1, blas_threads=1),
         "run_spmd_processes": lambda: run_spmd_processes(_worker_budget, 2,
                                                          blas_threads=1),
     }

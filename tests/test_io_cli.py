@@ -191,6 +191,13 @@ class TestCli:
         assert exc.value.code == 2
         assert "invalid choice: 'processes'" in capsys.readouterr().err
 
+    def test_removed_pools_flag_fails(self, capsys):
+        """``serve --pools`` is rejected: the service runs one session."""
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["serve", "--pools", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --pools 2" in capsys.readouterr().err
+
     def test_wilcoxon_upper(self, csv_path, capsys):
         assert cli_main([str(csv_path), "--test", "wilcoxon", "--side",
                          "upper", "--b", "80"]) == 0

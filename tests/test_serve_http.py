@@ -6,6 +6,8 @@ import functools
 import http.client
 import json
 import os
+import re
+import select
 import signal
 import socket
 import statistics
@@ -38,7 +40,7 @@ def dataset():
 @contextlib.contextmanager
 def _running_server():
     """An in-process server over one serial pool (max_queue=2)."""
-    manager = PoolManager("serial", 1, pools=1, max_queue=2)
+    manager = PoolManager("serial", 1, max_queue=2)
     server = make_server(manager, "127.0.0.1", 0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -161,7 +163,7 @@ class TestEndpoints:
         assert stats["pools"] == 1
         assert stats["max_queue"] == 2
         assert "jobs_per_s" in stats
-        assert "occupancy" in stats
+        assert stats["busy"] is False and stats["healthy"] is True
 
     def test_unknown_job_is_404(self, service):
         client, _ = service
@@ -434,12 +436,40 @@ class TestServeShutdown:
             [src, os.environ.get("PYTHONPATH", "")]))
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
-             "--pools", "1", "--ranks", "1"],
+             "--ranks", "1"],
             env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             text=True, preexec_fn=_ignore_sigint)
         try:
             assert "listening on" in proc.stdout.readline()
             proc.send_signal(sig)
+            _, err = proc.communicate(timeout=10)
+            assert proc.returncode == 0, err
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+
+    def test_banner_reaches_a_pipe_without_unbuffered_mode(self):
+        """The port banner is flushed, so a reader on a pipe sees it
+        while the server runs, not only when the process exits."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        env.pop("PYTHONUNBUFFERED", None)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+             "--ranks", "1"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True)
+        try:
+            readable, _, _ = select.select([proc.stdout], [], [], 30)
+            assert readable, "no banner within 30 s"
+            line = proc.stdout.readline()
+            assert line.startswith("repro-serve listening on http://")
+            # The `:<port> ` shape port scrapers rely on.
+            port = int(re.search(r":(\d+) ", line).group(1))
+            assert port > 0
+            proc.send_signal(signal.SIGTERM)
             _, err = proc.communicate(timeout=10)
             assert proc.returncode == 0, err
         finally:

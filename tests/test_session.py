@@ -192,7 +192,7 @@ class TestOpenSession:
         from repro.serve import PoolManager
 
         with pytest.raises(OptionError, match="job_timeout"):
-            PoolManager("threads", 1, pools=1, job_timeout=0)
+            PoolManager("threads", 1, job_timeout=0)
         assert main(["serve", "--port", "0", "--job-timeout", "-5"]) == 2
         assert "job_timeout" in capsys.readouterr().err
 
